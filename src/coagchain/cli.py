@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .errors import (ChainValidationError, ConsistencyError, RootCountError,
-                     SizeLimitError)
+from .errors import (AnalyticPathError, ChainValidationError,
+                     ConsistencyError, DegenerateModeError, SizeLimitError)
 from .gillespie import LatticeState, run as run_simulation
 from .generator import assemble_generator, brute_force_spectrum
 from .model import RateTriple, load_chain
@@ -262,10 +262,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChainValidationError as exc:
+    except (ChainValidationError, AnalyticPathError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConsistencyError, RootCountError) as exc:
+    except (ConsistencyError, DegenerateModeError) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     except SizeLimitError as exc:

@@ -1,7 +1,13 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes (validation failure -> 1,
-internal consistency failure -> 2, size guard -> 3).
+The CLI maps these onto process exit codes:
+
+* 1 (validation failure): ``ChainValidationError``, and
+  ``AnalyticPathError`` for parameters the analytic route does not cover,
+  such as p*q = 0 in a segment;
+* 2 (internal consistency failure): ``ConsistencyError`` and
+  ``DegenerateModeError``;
+* 3 (size guard): ``SizeLimitError``.
 """
 
 
@@ -19,19 +25,6 @@ class ConsistencyError(RuntimeError):
 
 class AnalyticPathError(RuntimeError):
     """The closed-form/secular route does not apply to these parameters."""
-
-
-class RootCountError(RuntimeError):
-    """Secular root search found the wrong number of roots.
-
-    Carries the roots found so far and the grid resolution, so callers can
-    fall back to the dense block-matrix route and report what happened.
-    """
-
-    def __init__(self, message, roots_found, grid_points):
-        super().__init__(message)
-        self.roots_found = roots_found
-        self.grid_points = grid_points
 
 
 class DegenerateModeError(RuntimeError):

@@ -9,11 +9,13 @@ size 2*(N+2): a block-tridiagonal real matrix whose eigenvalues come in
 * N-1 roots of a secular polynomial built from Chebyshev U factors of the
   two segments coupled through the junction rates.
 
-Root finding follows a bracketing strategy on the exactly-signed scaled
-secular function, with the dense block matrix as a guaranteed fallback
-route.  The eigenvector constructors mirror the analytic ansatz: plane
-waves (or their hyperbolic continuations, reached automatically through a
-complex branch base) in each segment, tied together at the junction.
+The secular polynomial is the characteristic polynomial of a real
+symmetric tridiagonal (Jacobi) matrix of size N-1, so its roots are that
+matrix's eigenvalues; the exactly-signed scaled secular function and the
+dense block matrix stay as independent checks.  The eigenvector
+constructors mirror the analytic ansatz: plane waves (or their hyperbolic
+continuations, reached automatically through a complex branch base) in
+each segment, tied together at the junction.
 """
 
 from __future__ import annotations
@@ -24,17 +26,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .chebyshev import ScaledValue, chebyshev_u_pair_scaled
 from .errors import (AnalyticPathError, ChainValidationError,
-                     DegenerateModeError, RootCountError)
+                     ConsistencyError, DegenerateModeError)
 from .model import ChainSpec, RateTriple
 from .spins import BulkCoefficients, JunctionCoefficients, bulk_coefficients, \
     junction_coefficients
-
-ROOT_ABS_TOL = 1e-12
-GRID_FACTOR = 64
-GRID_DOUBLINGS = 3
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class OneParticleSpectrum:
     lambda_edge_1: float
     lambda_edge_2: float
     bulk_roots: np.ndarray  # sorted descending, length N-1
-    route: str              # secular | matrix | closed-form
+    route: str              # secular | closed-form
 
     def __post_init__(self):
         roots = np.sort(np.asarray(self.bulk_roots, dtype=float))[::-1].copy()
@@ -95,13 +94,17 @@ def homogeneous_energies(rates: RateTriple, L: int) -> OneParticleSpectrum:
 # Secular equation
 # ---------------------------------------------------------------------------
 
+def _require_hopping(spec: ChainSpec) -> None:
+    if min(spec.seg1.p * spec.seg1.q, spec.seg2.p * spec.seg2.q) <= 0:
+        raise AnalyticPathError(
+            "secular equation needs p, q > 0 in both segments")
+
+
 def _secular_scaled(spec: ChainSpec, lam: np.ndarray):
     """Mantissas and exponents of the secular function on an array of lam."""
     lam = np.asarray(lam, dtype=float)
+    _require_hopping(spec)
     s1, s2, j = spec.seg1, spec.seg2, spec.junction
-    if s1.p * s1.q <= 0 or s2.p * s2.q <= 0:
-        raise AnalyticPathError(
-            "secular equation needs p, q > 0 in both segments")
     x1 = (lam - 2 * s1.f) / (2 * s1.mu)
     x2 = (lam - 2 * s2.f) / (2 * s2.mu)
     u1, u1m, e1 = chebyshev_u_pair_scaled(spec.L1 - 1, x1)
@@ -123,124 +126,35 @@ def secular_function(spec: ChainSpec, lam: float) -> ScaledValue:
     return ScaledValue(float(mant[0]), int(exp2[0]))
 
 
-def _bisect_brackets(spec: ChainSpec, lo: np.ndarray, hi: np.ndarray,
-                     sign_lo: np.ndarray) -> np.ndarray:
-    """Vectorized sign bisection of every bracket down to ROOT_ABS_TOL."""
-    lo = lo.copy()
-    hi = hi.copy()
-    max_iter = int(np.ceil(np.log2(max(np.max(hi - lo), ROOT_ABS_TOL)
-                                   / ROOT_ABS_TOL))) + 2
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        mant, _ = _secular_scaled(spec, mid)
-        s = np.sign(mant)
-        go_right = s == sign_lo
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-        if np.max(hi - lo) < ROOT_ABS_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _log2_abs(mant: np.ndarray, exp2: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log2(np.abs(mant)) + exp2
-
-
-def _grid_roots(spec: ChainSpec, grid: np.ndarray):
-    """Roots bracketed by sign changes on a grid, plus the |g| landscape."""
-    mant, exp2 = _secular_scaled(spec, grid)
-    signs = np.sign(mant)
-    exact = np.nonzero(signs == 0)[0]
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    found = _bisect_brackets(spec, grid[flips], grid[flips + 1],
-                             signs[flips]) if len(flips) else np.empty(0)
-    roots = np.sort(np.concatenate((found, grid[exact])))
-    return roots, flips, _log2_abs(mant, exp2)
-
-
-def _zoom_dip(spec: ChainSpec, lo: float, hi: float) -> list[float]:
-    """Resolve a |g| dip without sign change: a tight root pair or tangency.
-
-    Root pairs near band edges approach each other exponentially fast in
-    the chain length, far below any affordable uniform grid resolution.
-    Zooming on the local minimum either exposes the two sign changes or
-    bottoms out at a double root, reported twice.
-    """
-    for _ in range(60):
-        xs = np.linspace(lo, hi, 65)
-        mant, exp2 = _secular_scaled(spec, xs)
-        signs = np.sign(mant)
-        exact = xs[np.nonzero(signs == 0)[0]]
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if len(flips) + len(exact) >= 1:
-            roots = _bisect_brackets(spec, xs[flips], xs[flips + 1],
-                                     signs[flips]) if len(flips) else np.empty(0)
-            return sorted(np.concatenate((roots, exact)).tolist())
-        j = int(np.argmin(_log2_abs(mant, exp2)))
-        lo = xs[max(j - 1, 0)]
-        hi = xs[min(j + 1, len(xs) - 1)]
-        if hi - lo < 1e-13 * max(1.0, abs(lo)):
-            mid = 0.5 * (lo + hi)
-            return [mid, mid]  # tangency: double root
-    return []
-
-
 def solve_secular(spec: ChainSpec) -> np.ndarray:
-    """All N-1 secular roots, bracketed and bisected to 1e-12 absolute.
+    """All N-1 secular roots, descending.
 
-    Samples a uniform grid over [lam_lo - margin, 0] and bisects every
-    sign change.  When the count falls short (root pairs tighter than the
-    grid), dips of |g| without a sign change are zoomed individually;
-    remaining shortfalls densify the grid up to three times before a
-    RootCountError hands control to the caller's fallback.
+    They are the eigenvalues of a symmetric tridiagonal (Jacobi) matrix T
+    with det(lam - T) proportional to the secular function.  The Toeplitz
+    block of a segment has mu^(L-1) * U_(L-1)((lam-2f)/2mu) as its
+    determinant; bordering the two blocks with the junction entry
+    -(Q_bar + p_bar + q_bar) and the couplings c1, c2 reproduces the
+    mantissa of ``_secular_scaled`` because c1^2 = mu1^2 * p_bar / p1 and
+    c2^2 = mu2^2 * q_bar / q2.
     """
-    n = spec.n_sites
-    expected = n - 1
-    s1, s2 = spec.seg1, spec.seg2
-    band_floor = min(2 * s1.f - 2 * s1.mu, 2 * s2.f - 2 * s2.mu)
-    # junction bound states can sit below the bands; every eigenvalue of
-    # the block matrix obeys the row-sum bound, so start the grid there
-    row_bound = float(np.max(np.sum(np.abs(build_script_matrix(spec)),
-                                    axis=1)))
-    lo_edge = min(band_floor - 0.1 * abs(band_floor), -row_bound)
-    points = GRID_FACTOR * n
-    found = np.empty(0)
-    for _ in range(GRID_DOUBLINGS + 1):
-        grid = np.linspace(lo_edge, 0.0, points)
-        found, flips, log_mag = _grid_roots(spec, grid)
-        if len(found) < expected:
-            # dip candidates: interior |g| minima not adjacent to a bracket
-            interior = np.arange(1, len(grid) - 1)
-            is_min = ((log_mag[interior] < log_mag[interior - 1])
-                      & (log_mag[interior] < log_mag[interior + 1]))
-            near_flip = np.zeros(len(grid), dtype=bool)
-            near_flip[flips] = True
-            near_flip[flips + 1] = True
-            dips = interior[is_min & ~near_flip[interior]]
-            # deepest dips first; each can hide at most one tight pair
-            dips = dips[np.argsort(log_mag[dips])][:max(8, 2 * expected
-                                                        - 2 * len(found))]
-            extra: list[float] = []
-            for j in dips:
-                if len(found) + len(extra) >= expected:
-                    break
-                extra.extend(_zoom_dip(spec, grid[j - 1], grid[j + 1]))
-            if extra:
-                found = np.sort(np.concatenate((found, extra)))
-        if len(found) == expected:
-            break
-        points *= 2
-    if len(found) != expected:
-        raise RootCountError(
-            f"found {len(found)} secular roots, expected {expected} "
-            f"(densest grid {points // 2} points)",
-            roots_found=found, grid_points=points // 2)
-    if np.max(found) > 1e-10:
-        raise RootCountError(
-            f"positive secular root {np.max(found)!r}; spectrum would not "
-            f"be a generator's", roots_found=found, grid_points=points)
-    return found[::-1]
+    _require_hopping(spec)
+    s1, s2, j = spec.seg1, spec.seg2, spec.junction
+    diag = np.concatenate((np.full(spec.L1 - 1, 2 * s1.f),
+                           [-(j.Q_bar + j.p_bar + j.q_bar)],
+                           np.full(spec.L2 - 1, 2 * s2.f)))
+    off = [np.full(max(spec.L1 - 2, 0), s1.mu)]
+    if spec.L1 >= 2:
+        off.append([math.sqrt(s1.q * (1 + s1.delta) * j.p_bar)])
+    if spec.L2 >= 2:
+        off.append([math.sqrt(s2.p * (1 + s2.delta) * j.q_bar)])
+    off.append(np.full(max(spec.L2 - 2, 0), s2.mu))
+    roots = scipy.linalg.eigh_tridiagonal(diag, np.concatenate(off),
+                                          eigvals_only=True)[::-1]
+    if roots[0] > 1e-10:
+        raise ConsistencyError(
+            f"positive secular root {roots[0]!r}; spectrum would not be a "
+            f"generator's")
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -321,38 +235,11 @@ def script_matrix_negative_spectrum(spec: ChainSpec,
     return re[:spec.n_sites + 2][::-1]
 
 
-def _bulk_roots_from_matrix(spec: ChainSpec) -> np.ndarray:
-    """Extract the N-1 bulk roots from the block-matrix spectrum."""
-    neg = list(script_matrix_negative_spectrum(spec))
-    # remove the zero mode, then one copy of each boundary energy
-    for target in (0.0, *edge_energies(spec)):
-        neg.pop(int(np.argmin([abs(v - target) for v in neg])))
-    return np.sort(np.asarray(neg))[::-1]
-
-
-def one_particle_spectrum(spec: ChainSpec,
-                          method: str = "auto") -> OneParticleSpectrum:
-    """Complete one-particle spectrum: zero mode, two edges, N-1 roots.
-
-    ``method`` is ``"secular"`` (bracketing only), ``"matrix"`` (dense
-    block-matrix eigenvalues), or ``"auto"`` (secular with matrix
-    fallback).  The route actually taken is recorded on the result.
-    """
+def one_particle_spectrum(spec: ChainSpec) -> OneParticleSpectrum:
+    """Complete one-particle spectrum: zero mode, two edges, N-1 roots."""
     e1, e2 = edge_energies(spec)
-    if method not in ("auto", "secular", "matrix"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "secular"):
-        try:
-            roots = solve_secular(spec)
-            return OneParticleSpectrum(0.0, e1, e2, roots, route="secular")
-        except RootCountError:
-            if method == "secular":
-                raise
-        except AnalyticPathError:
-            if method == "secular":
-                raise
-    roots = _bulk_roots_from_matrix(spec)
-    return OneParticleSpectrum(0.0, e1, e2, roots, route="matrix")
+    return OneParticleSpectrum(0.0, e1, e2, solve_secular(spec),
+                               route="secular")
 
 
 def pairing_residual(spec: ChainSpec) -> float:

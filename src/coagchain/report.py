@@ -45,13 +45,12 @@ class SpectrumReport:
 
 
 def spectrum_report(spec: ChainSpec, include_full: bool = False,
-                    brute_force: bool = False,
-                    method: str = "auto") -> SpectrumReport:
+                    brute_force: bool = False) -> SpectrumReport:
     """Vacuum energy, parity, gap, and consistency checks for one chain."""
     validation = validate_chain(spec)
     if not validation.ok:
         raise ChainValidationError("; ".join(validation.violations))
-    spectrum = one_particle_spectrum(spec, method=method)
+    spectrum = one_particle_spectrum(spec)
     omega = vacuum_energy(spec, spectrum)
     par = parity(spec)
     gap = spectral_gap(spectrum, omega, par)

@@ -49,8 +49,10 @@ def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum,
     """Vacuum energy from the energy sum, checked against the closed form.
 
     The sum route uses all one-particle energies and the constant part of
-    the fermionic normal form; disagreement with the closed form signals
-    wrong secular roots and raises.
+    the fermionic normal form; disagreement with the closed form raises.
+    The secular roots are the eigenvalues of a Jacobi matrix, so their sum
+    is its trace identically: this checks the constants (psi, f, the edge
+    energies), not the roots.
     """
     coj = junction_coefficients(spec.seg1, spec.seg2, spec.junction)
     omega_sum = (-0.5 * float(np.sum(spectrum.all_values()))

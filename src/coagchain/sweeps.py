@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainValidationError, ConsistencyError
+from .errors import AnalyticPathError, ChainValidationError, ConsistencyError
 from .model import (ChainSpec, RateTriple, build_impurity_junction,
                     build_quench_junction)
 from .oneparticle import one_particle_spectrum
@@ -50,7 +50,7 @@ def _gap_point(spec: ChainSpec, x: float) -> SweepPoint:
         omega = vacuum_energy(spec, spectrum)
         gap = spectral_gap(spectrum, omega, parity(spec))
         return SweepPoint(x, gap.gap, omega, gap.labels, spectrum.route)
-    except (ChainValidationError, ConsistencyError) as exc:
+    except (ChainValidationError, ConsistencyError, AnalyticPathError) as exc:
         return SweepPoint(x, None, None, (), "", error=str(exc))
 
 

@@ -2,10 +2,11 @@
 
 Runs every internal consistency check the package offers against a single
 model: operator stochasticity, the spin-decomposition identities, the
-+/- pairing of the one-particle matrix, eigenvector-ansatz residuals, the
-brute-force oracle on the full configuration space, the trace identity,
-the dual vacuum-energy computation, and (at the full level) a stochastic
-simulation against the exact stationary state.
++/- pairing of the one-particle matrix, sign alternation of the Chebyshev
+secular function between consecutive roots, eigenvector-ansatz residuals,
+the brute-force oracle on the full configuration space, the trace
+identity, the dual vacuum-energy computation, and (at the full level) a
+stochastic simulation against the exact stationary state.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import ConsistencyError
 from .generator import (assemble_generator, brute_force_spectrum,
                         generator_trace, stationary_vectors)
 from .model import ChainSpec, validate_chain
-from .oneparticle import (DegenerateModeWarning, bulk_mode, edge_modes,
-                          one_particle_spectrum, pairing_residual,
+from .oneparticle import (DegenerateModeWarning, _secular_scaled, bulk_mode,
+                          edge_modes, one_particle_spectrum, pairing_residual,
                           script_matrix_negative_spectrum, trivial_zero_modes)
 from .spectrum import (assemble_full_spectrum, parity, spectral_gap,
                        vacuum_energy, vacuum_energy_closed_form)
@@ -76,6 +77,15 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
         "one-particle set vs matrix",
         float(np.max(np.abs(np.sort(neg) - np.sort(spectrum.all_values())))),
         1e-8, detail=f"route {spectrum.route}"))
+
+    # the Chebyshev form shares no code with the eigensolver: a strict sign
+    # change between every pair of neighbouring midpoints puts a root there
+    roots = spectrum.bulk_roots
+    signs = np.sign(_secular_scaled(spec, 0.5 * (roots[:-1] + roots[1:]))[0])
+    bad = int(np.count_nonzero(signs == 0)
+              + np.count_nonzero(signs[:-1] * signs[1:] > 0))
+    results.append(_check("secular sign alternation", bad, 0,
+                          detail=f"{len(signs)} midpoints"))
 
     omega = vacuum_energy_closed_form(spec)
     try:

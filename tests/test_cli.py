@@ -5,7 +5,8 @@ import pytest
 
 from coagchain import save_chain
 from coagchain.cli import main
-from coagchain.sweeps import SweepConfig, quench_gap_sweep
+from coagchain.sweeps import (SweepConfig, impurity_gap_sweep,
+                              quench_gap_sweep)
 from coagchain.errors import ChainValidationError
 from conftest import make_impurity_spec, make_quench_spec
 
@@ -77,6 +78,14 @@ class TestSpectrumCommand:
             "junction": {"p_bar": 0.5, "q_bar": 3.0, "Q_bar": -50.0},
         }))
         assert main(["spectrum", "--spec", str(bad)]) == 1
+
+    def test_zero_hopping_validation_exit(self, tmp_path, capsys):
+        # p = 0 passes the rate bounds but has no free-fermion spectrum
+        from coagchain import RateTriple, homogeneous_chain
+        path = tmp_path / "p0.json"
+        save_chain(homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3), path)
+        assert main(["spectrum", "--spec", str(path)]) == 1
+        assert "p, q > 0" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -182,3 +191,10 @@ class TestSweepHelpers:
         good = [pt for pt in points if not pt.error]
         assert bad and good
         assert all("delta2*p2" in pt.error for pt in bad)
+
+    def test_zero_hopping_points_recorded(self):
+        from coagchain import RateTriple
+        points = impurity_gap_sweep(RateTriple(0.0, 3.0, 1.0), 3, [0.0, 0.5])
+        assert len(points) == 2
+        for pt in points:
+            assert pt.gap is None and "p, q > 0" in pt.error

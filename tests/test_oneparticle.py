@@ -10,7 +10,7 @@ from coagchain import (AnalyticPathError, RateTriple, bethe_residuals,
                        homogeneous_modes, one_particle_spectrum,
                        pairing_residual, secular_function, solve_secular,
                        trivial_zero_modes)
-from coagchain.oneparticle import (DegenerateModeWarning,
+from coagchain.oneparticle import (DegenerateModeWarning, _secular_scaled,
                                    script_matrix_negative_spectrum)
 from conftest import make_impurity_spec, make_quench_spec, random_chain
 
@@ -112,6 +112,32 @@ class TestSolveSecular:
             assert len(roots) == spec.n_sites - 1
             assert np.all(roots <= 1e-10)
 
+    def test_secular_signs_alternate_random(self, rng):
+        # the Chebyshev form changes sign strictly between neighbouring
+        # roots, so each eigenvalue sits in its own sign interval
+        for _ in range(60):
+            spec = random_chain(rng, int(rng.integers(1, 16)),
+                                int(rng.integers(1, 16)))
+            roots = solve_secular(spec)
+            assert len(roots) == spec.n_sites - 1
+            signs = [secular_function(spec, 0.5 * (a + b)).sign
+                     for a, b in zip(roots[:-1], roots[1:])]
+            assert 0 not in signs
+            assert all(s * t == -1 for s, t in zip(signs[:-1], signs[1:]))
+
+    @pytest.mark.parametrize("spec", [
+        make_impurity_spec(L=2000, theta=0.6, s=1.0),
+        make_quench_spec(L=2000, delta1=1.0, delta2=1.3),
+    ], ids=["impurity", "quench"])
+    def test_secular_signs_alternate_n4000(self, spec):
+        roots = solve_secular(spec)
+        assert len(roots) == 3999
+        assert roots[0] <= 1e-10
+        mant, _ = _secular_scaled(spec, 0.5 * (roots[:-1] + roots[1:]))
+        signs = np.sign(mant)
+        assert np.all(signs != 0)
+        assert np.all(signs[:-1] * signs[1:] == -1)
+
     def test_bethe_equations_at_roots(self, quench_spec, rng):
         # both junction quantization identities hold simultaneously at
         # every root (the first implies the second on the dispersion shell)
@@ -149,13 +175,6 @@ class TestBlockMatrix:
 class TestOneParticleSpectrum:
     def test_route_recorded(self, quench_spec):
         assert one_particle_spectrum(quench_spec).route == "secular"
-        assert one_particle_spectrum(quench_spec, method="matrix").route \
-            == "matrix"
-
-    def test_methods_agree(self, quench_spec):
-        a = one_particle_spectrum(quench_spec, method="secular")
-        b = one_particle_spectrum(quench_spec, method="matrix")
-        np.testing.assert_allclose(a.bulk_roots, b.bulk_roots, atol=1e-8)
 
     def test_edge_values_quench(self, quench_spec):
         sp = one_particle_spectrum(quench_spec)

@@ -83,7 +83,7 @@ class TestAssembleFullSpectrum:
     def test_two_site_degenerate_case(self):
         r = RateTriple(1.0, 1.0, 0.0)
         spec = homogeneous_chain(r, 1, 1)
-        sp = one_particle_spectrum(spec, method="matrix")
+        sp = one_particle_spectrum(spec)
         full = assemble_full_spectrum(sp, 0.0, parity(spec), 2)
         np.testing.assert_allclose(np.sort(full), [-2, -2, 0, 0], atol=1e-10)
 
