@@ -15,7 +15,9 @@ matrix's eigenvalues; the exactly-signed scaled secular function and the
 dense block matrix stay as independent checks.  The eigenvector
 constructors mirror the analytic ansatz: plane waves (or their hyperbolic
 continuations, reached automatically through a complex branch base) in
-each segment, tied together at the junction.
+each segment.  One gluing step ties them together at the junction: the
+segment profiles are weighted by the null vector of the block rows of the
+two junction sites.
 """
 
 from __future__ import annotations
@@ -165,12 +167,6 @@ def _t_block(t: float) -> np.ndarray:
     return np.array([[-t, -t], [t, t]])
 
 
-def _hop_blocks(a, b, c, d):
-    right = np.array([[-a, -c], [d, b]])
-    left = np.array([[-b, c], [-d, a]])
-    return right, left
-
-
 def _assemble_blocks(n_sites: int, bonds, t1: float, t2: float) -> np.ndarray:
     """Generic block assembly; bonds is a list of (a,b,c,d,h,h_bar)."""
     dim = 2 * (n_sites + 2)
@@ -182,9 +178,8 @@ def _assemble_blocks(n_sites: int, bonds, t1: float, t2: float) -> np.ndarray:
     for k, (a, b, c, d, h, h_bar) in enumerate(bonds, start=1):
         m[blk(k, k)] += 2 * np.diag([h, -h])
         m[blk(k + 1, k + 1)] += 2 * np.diag([h_bar, -h_bar])
-        right, left = _hop_blocks(a, b, c, d)
-        m[blk(k, k + 1)] += right
-        m[blk(k + 1, k)] += left
+        m[blk(k, k + 1)] += np.array([[-a, -c], [d, b]])
+        m[blk(k + 1, k)] += np.array([[-b, c], [-d, a]])
     tb1, tb2 = _t_block(t1), _t_block(t2)
     m[blk(0, 1)] += tb1
     m[blk(1, 0)] += tb1.T
@@ -372,211 +367,109 @@ def _branch_diff(x: complex, xp: complex, exponent: int) -> np.ndarray:
     return x ** exponent * _pair_vec(x) - xp ** exponent * _pair_vec(xp)
 
 
-class _JunctionRows:
-    """The two block rows of the eigenproblem at the junction sites."""
+def _profile(spec: ChainSpec, segment: int, branches) -> np.ndarray:
+    """One segment's part of a mode in the (N+2, 2) layout, max |.| = 1.
 
-    def __init__(self, spec: ChainSpec):
-        co1 = bulk_coefficients(spec.seg1)
-        co2 = bulk_coefficients(spec.seg2)
-        coj = junction_coefficients(spec.seg1, spec.seg2, spec.junction)
-        right1, left1 = _hop_blocks(co1.a, co1.b, co1.c, co1.d)
-        right2, left2 = _hop_blocks(co2.a, co2.b, co2.c, co2.d)
-        rightj, leftj = _hop_blocks(coj.alpha, coj.beta, coj.gamma, coj.delta_c)
-        self.J1 = left1
-        self.I2 = right2
-        self.A = rightj
-        self.B = leftj
-        # site L1 diagonal: junction left coefficient, plus the right-site
-        # coefficient of the last segment-1 bond when that bond exists
-        self.NH = 2 * np.diag([coj.eta, -coj.eta])
-        if spec.L1 > 1:
-            self.NH = self.NH + 2 * np.diag([co1.h_bar, -co1.h_bar])
-        self.HN = 2 * np.diag([coj.eta_bar, -coj.eta_bar])
-        if spec.L2 > 1:
-            self.HN = self.HN + 2 * np.diag([co2.h, -co2.h])
+    The profile is the sum of c * x**e * (1 + x, 1 - x) over the (c, x) in
+    ``branches``, with the exponent e counted from the segment's outer
+    end: ell - 1 on segment 1, ell - N - 1 on segment 2.  The powers are
+    formed as exp(e * log x) less the largest real part, so long chains
+    do not overflow.  Every other site is zero.
+    """
+    n = spec.n_sites
+    ell = (np.arange(1, spec.L1 + 1) if segment == 1
+           else np.arange(spec.L1 + 1, n + 1))
+    e = ell - (1 if segment == 1 else n + 1)
+    logs = [e * cmath.log(x) for _, x in branches]
+    top = max(float(np.max(lg.real)) for lg in logs)
+    comp = np.zeros((n + 2, 2), dtype=complex)
+    for (c, x), lg in zip(branches, logs):
+        comp[ell] += c * np.exp(lg - top)[:, None] * _pair_vec(x)
+    return comp / np.max(np.abs(comp))
+
+
+def _diff_profile(spec: ChainSpec, segment: int, lam: float):
+    """Branch base and branch-difference profile of a segment at lam.
+
+    The difference of the two dispersion branches meets the segment's
+    outer boundary row at any energy.
+    """
+    rates = spec.seg1 if segment == 1 else spec.seg2
+    x, xp = _branch_base(rates, lam)
+    if abs(x * x - rates.p / rates.q) < 1e-12 * max(1.0, rates.p / rates.q):
+        raise DegenerateModeError(
+            f"branch base degenerate at band edge (x^2 = p/q), lam={lam}")
+    return x, _profile(spec, segment, [(1.0, x), (-1.0, xp)])
+
+
+def _glue(spec: ChainSpec, matrix: np.ndarray, kind: str, lam: float,
+          profiles, aux: dict) -> ModeVector:
+    """Tie segment profiles together at the junction bond.
+
+    Each profile solves every block row of the eigenproblem except the
+    four rows of sites L1 and L1+1.  The weights are the null vector of
+    the residual (M - lam) phi on those rows, one column per profile; the
+    weighted sum goes to ``_finish_mode``, whose residual over the whole
+    matrix validates it.  The weights are stored as ``aux["w"]``.
+    """
+    rows = slice(2 * spec.L1, 2 * spec.L1 + 4)
+    flat = np.stack([prof.reshape(-1) for prof in profiles], axis=1)
+    weights = np.linalg.svd(matrix[rows] @ flat - lam * flat[rows])[2][-1].conj()
+    return _finish_mode(matrix, kind, lam, (flat @ weights).reshape(-1, 2),
+                        bulk_coefficients(spec.seg1).t,
+                        bulk_coefficients(spec.seg2).t, spec.n_sites,
+                        {**aux, "w": weights})
 
 
 def bulk_mode(spec: ChainSpec, lam: float) -> ModeVector:
     """Eigenvector for one secular root, glued across the junction.
 
-    The segment weights are the closed-form transmission pair; when both
-    vanish (segment standing waves resonate exactly through the junction,
-    as in the homogeneous reduction) they are recovered as the null vector
-    of the junction rows instead.
+    Each segment carries its branch-difference profile and ``_glue``
+    weighs the two so the junction rows hold.  ``aux["v"]`` is the weight
+    ratio w1/w2 of the two normalised profiles.
     """
     if spec.L1 < 2 or spec.L2 < 2:
         raise DegenerateModeError("bulk-mode ansatz needs both segments >= 2 sites")
-    s1, s2 = spec.seg1, spec.seg2
-    n = spec.n_sites
-    x1, x1_alt = _branch_base(s1, lam)
-    x2, x2_alt = _branch_base(s2, lam)
-    for x, rates in ((x1, s1), (x2, s2)):
-        if abs(x * x - rates.p / rates.q) < 1e-12 * max(1.0, rates.p / rates.q):
-            raise DegenerateModeError(
-                f"branch base degenerate at band edge (x^2 = p/q), lam={lam}")
-    x1p = s1.p / (s1.q * x1)
-    x2p = s2.p / (s2.q * x2)
-
-    weight1 = x2 ** (-spec.L2) - (s2.q * x2 / s2.p) ** spec.L2
-    weight2 = x1 ** spec.L1 - (s1.p / (s1.q * x1)) ** spec.L1
-    scale1 = abs(x2) ** (-spec.L2) + abs(s2.q * x2 / s2.p) ** spec.L2
-    scale2 = abs(x1) ** spec.L1 + abs(s1.p / (s1.q * x1)) ** spec.L1
-    resonant = (abs(weight1) < 1e-8 * scale1 and abs(weight2) < 1e-8 * scale2)
-
-    def seg1_vec(ell):
-        return _branch_diff(x1, x1p, ell - 1)
-
-    def seg2_vec(ell):
-        return _branch_diff(x2, x2p, ell - n - 1)
-
-    if resonant:
-        rows = _JunctionRows(spec)
-        mat = np.zeros((4, 2), dtype=complex)
-        mat[0:2, 0] = rows.J1 @ seg1_vec(spec.L1 - 1) \
-            + rows.NH @ seg1_vec(spec.L1) - lam * seg1_vec(spec.L1)
-        mat[0:2, 1] = rows.A @ seg2_vec(spec.L1 + 1)
-        mat[2:4, 0] = rows.B @ seg1_vec(spec.L1)
-        mat[2:4, 1] = rows.HN @ seg2_vec(spec.L1 + 1) \
-            + rows.I2 @ seg2_vec(spec.L1 + 2) - lam * seg2_vec(spec.L1 + 1)
-        _, _, vh = np.linalg.svd(mat)
-        weight1, weight2 = vh[-1].conj()
-
-    comp = np.zeros((n + 2, 2), dtype=complex)
-    for ell in range(1, spec.L1 + 1):
-        comp[ell] = weight1 * seg1_vec(ell)
-    for ell in range(spec.L1 + 1, n + 1):
-        comp[ell] = weight2 * seg2_vec(ell)
-    transmission = weight1 / weight2 if abs(weight2) > 0 else math.inf
-    co1 = bulk_coefficients(s1)
-    co2 = bulk_coefficients(s2)
-    return _finish_mode(build_script_matrix(spec), "bulk", lam, comp,
-                        co1.t, co2.t, n,
-                        {"x1": x1, "x2": x2, "v": transmission,
-                         "resonant": resonant})
-
-
-def _solve_junction_weights(spec: ChainSpec, lam: float, fixed_side: str,
-                            x_free: complex, xp_free: complex,
-                            x_fixed: complex, xp_fixed: complex):
-    """Weights of the two free branches from the junction block rows.
-
-    ``fixed_side`` names the segment whose part of the eigenvector is the
-    plain branch difference with unit weight; the other segment carries
-    two independent branch weights, fixed here by least squares on the
-    four junction equations (they are consistent at a true eigenvalue;
-    the final residual check guards against abuse).
-    """
-    rows = _JunctionRows(spec)
-    n = spec.n_sites
-    L1 = spec.L1
-
-    if fixed_side == "right":
-        def fixed_vec(ell):
-            return _branch_diff(x_fixed, xp_fixed, ell - n - 1)
-
-        def free_pair(ell):
-            e = ell - 1
-            return (x_free ** e * _pair_vec(x_free),
-                    -xp_free ** e * _pair_vec(xp_free))
-
-        a_m1, b_m1 = free_pair(L1 - 1)
-        a_0, b_0 = free_pair(L1)
-        mat = np.zeros((4, 2), dtype=complex)
-        rhs = np.zeros(4, dtype=complex)
-        mat[0:2, 0] = rows.J1 @ a_m1 + rows.NH @ a_0 - lam * a_0
-        mat[0:2, 1] = rows.J1 @ b_m1 + rows.NH @ b_0 - lam * b_0
-        rhs[0:2] = -(rows.A @ fixed_vec(L1 + 1))
-        mat[2:4, 0] = rows.B @ a_0
-        mat[2:4, 1] = rows.B @ b_0
-        rhs[2:4] = -(rows.HN @ fixed_vec(L1 + 1)
-                     + rows.I2 @ fixed_vec(L1 + 2) - lam * fixed_vec(L1 + 1))
-    else:
-        def fixed_vec(ell):
-            return _branch_diff(x_fixed, xp_fixed, ell - 1)
-
-        def free_pair(ell):
-            e = ell - n - 1
-            return (x_free ** e * _pair_vec(x_free),
-                    -xp_free ** e * _pair_vec(xp_free))
-
-        a_1, b_1 = free_pair(L1 + 1)
-        a_2, b_2 = free_pair(L1 + 2)
-        mat = np.zeros((4, 2), dtype=complex)
-        rhs = np.zeros(4, dtype=complex)
-        mat[0:2, 0] = rows.A @ a_1
-        mat[0:2, 1] = rows.A @ b_1
-        rhs[0:2] = -(rows.J1 @ fixed_vec(L1 - 1) + rows.NH @ fixed_vec(L1)
-                     - lam * fixed_vec(L1))
-        mat[2:4, 0] = rows.HN @ a_1 + rows.I2 @ a_2 - lam * a_1
-        mat[2:4, 1] = rows.HN @ b_1 + rows.I2 @ b_2 - lam * b_1
-        rhs[2:4] = -(rows.B @ fixed_vec(L1))
-    weights, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return weights
+    x1, prof1 = _diff_profile(spec, 1, lam)
+    x2, prof2 = _diff_profile(spec, 2, lam)
+    mode = _glue(spec, build_script_matrix(spec), "bulk", lam, [prof1, prof2],
+                 {"x1": x1, "x2": x2})
+    w1, w2 = mode.aux["w"]
+    mode.aux["v"] = w1 / w2 if abs(w2) > 0 else math.inf
+    return mode
 
 
 def edge_modes(spec: ChainSpec) -> list[ModeVector]:
     """Up to four junction/boundary-localized modes, both energy signs.
 
-    The left family pins the branch base in segment 1 to one of its two
-    closed-form values (energies +/-(q1-p1)*delta1/2) and lets segment 1
-    carry two branch weights; the right family mirrors this for segment 2.
-    Weights come from the junction block rows; each mode is validated by
-    its residual.  Degenerate cases (zero edge energy merging with the
-    zero modes, or a branch collapse) are skipped with a warning.
+    A left-edge mode sits at one of the energies +/-(q1-p1)*delta1/2.
+    Segment 1 gives each of its two dispersion branches its own profile
+    and segment 2 carries its branch difference; ``_glue`` weighs the
+    three.  Right-edge modes swap the segments.  Degenerate cases (zero
+    edge energy merging with the zero modes, or a branch collapse) are
+    skipped with a warning.
     """
     if spec.L1 < 2 or spec.L2 < 2:
         raise DegenerateModeError("edge-mode ansatz needs both segments >= 2 sites")
-    s1, s2 = spec.seg1, spec.seg2
     matrix = build_script_matrix(spec)
-    co1 = bulk_coefficients(s1)
-    co2 = bulk_coefficients(s2)
-    n = spec.n_sites
     out = []
-
-    cases = [
-        ("left-edge", s1.p / s1.q * s1.cos_2theta, (s1.q - s1.p) / 2 * s1.delta),
-        ("left-edge", s1.cos_2theta, -(s1.q - s1.p) / 2 * s1.delta),
-        ("right-edge", s2.p / s2.q * s2.cos_2theta, (s2.q - s2.p) / 2 * s2.delta),
-        ("right-edge", s2.cos_2theta, -(s2.q - s2.p) / 2 * s2.delta),
-    ]
-    for kind, x_pinned, lam in cases:
-        if abs(lam) < 1e-14:
-            warnings.warn(
-                f"{kind} energy vanishes (p=q or delta=0); mode merges with "
-                f"the zero modes", DegenerateModeWarning)
-            continue
-        try:
-            if kind == "left-edge":
-                x1 = complex(x_pinned)
-                x1p = s1.p / (s1.q * x1)
-                x2, _ = _branch_base(s2, lam)
-                x2p = s2.p / (s2.q * x2)
-                w = _solve_junction_weights(spec, lam, "right", x1, x1p, x2, x2p)
-                comp = np.zeros((n + 2, 2), dtype=complex)
-                for ell in range(1, spec.L1 + 1):
-                    comp[ell] = (w[0] * x1 ** (ell - 1) * _pair_vec(x1)
-                                 - w[1] * x1p ** (ell - 1) * _pair_vec(x1p))
-                for ell in range(spec.L1 + 1, n + 1):
-                    comp[ell] = _branch_diff(x2, x2p, ell - n - 1)
-                aux = {"x1": x1, "x2": x2, "v1": w[0], "v2": w[1]}
-            else:
-                x2 = complex(x_pinned)
-                x2p = s2.p / (s2.q * x2)
-                x1, _ = _branch_base(s1, lam)
-                x1p = s1.p / (s1.q * x1)
-                w = _solve_junction_weights(spec, lam, "left", x2, x2p, x1, x1p)
-                comp = np.zeros((n + 2, 2), dtype=complex)
-                for ell in range(1, spec.L1 + 1):
-                    comp[ell] = _branch_diff(x1, x1p, ell - 1)
-                for ell in range(spec.L1 + 1, n + 1):
-                    e = ell - n - 1
-                    comp[ell] = (w[0] * x2 ** e * _pair_vec(x2)
-                                 - w[1] * x2p ** e * _pair_vec(x2p))
-                aux = {"x1": x1, "x2": x2, "w1": w[0], "w2": w[1]}
-            out.append(_finish_mode(matrix, kind, lam, comp, co1.t, co2.t,
-                                    n, aux))
-        except DegenerateModeError as exc:
-            warnings.warn(str(exc), DegenerateModeWarning)
+    for pinned, kind, rates in ((1, "left-edge", spec.seg1),
+                                (2, "right-edge", spec.seg2)):
+        edge = (rates.q - rates.p) / 2 * rates.delta
+        for lam in (edge, -edge):
+            if abs(lam) < 1e-14:
+                warnings.warn(
+                    f"{kind} energy vanishes (p=q or delta=0); mode merges "
+                    f"with the zero modes", DegenerateModeWarning)
+                continue
+            try:
+                profiles = [_profile(spec, pinned, [(1.0, y)])
+                            for y in _branch_base(rates, lam)]
+                x_free, prof = _diff_profile(spec, 3 - pinned, lam)
+                out.append(_glue(spec, matrix, kind, lam, profiles + [prof],
+                                 {"x_free": x_free}))
+            except DegenerateModeError as exc:
+                warnings.warn(str(exc), DegenerateModeWarning)
     return out
 
 

@@ -46,13 +46,14 @@ def vacuum_energy_closed_form(spec: ChainSpec) -> float:
 
 def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum,
                   tol: float = 1e-6) -> float:
-    """Vacuum energy from the energy sum, checked against the closed form.
+    """Closed-form vacuum energy, checked against the energy sum.
 
     The sum route uses all one-particle energies and the constant part of
-    the fermionic normal form; disagreement with the closed form raises.
-    The secular roots are the eigenvalues of a Jacobi matrix, so their sum
-    is its trace identically: this checks the constants (psi, f, the edge
-    energies), not the roots.
+    the fermionic normal form; disagreement beyond ``tol`` raises.  The
+    secular roots are the eigenvalues of a Jacobi matrix, so their sum is
+    its trace identically: this checks the constants (psi, f, the edge
+    energies), not the roots.  The closed form is returned because the
+    sum carries the rounding of N terms into every gap built on it.
     """
     coj = junction_coefficients(spec.seg1, spec.seg2, spec.junction)
     omega_sum = (-0.5 * float(np.sum(spectrum.all_values()))
@@ -64,7 +65,7 @@ def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum,
         raise ConsistencyError(
             f"vacuum energy mismatch: sum formula {omega_sum!r} vs closed "
             f"form {omega_closed!r}")
-    return omega_sum
+    return omega_closed
 
 
 def parity(spec: ChainSpec) -> str:

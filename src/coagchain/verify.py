@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gillespie
-from .errors import ConsistencyError
+from .errors import AnalyticPathError, ConsistencyError
 from .generator import (assemble_generator, brute_force_spectrum,
                         generator_trace, stationary_vectors)
 from .model import ChainSpec, validate_chain
@@ -72,11 +72,16 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
     results.append(_check("one-particle pairing", pairing_residual(spec), 1e-9))
 
     spectrum = one_particle_spectrum(spec)
-    neg = script_matrix_negative_spectrum(spec)
-    results.append(_check(
-        "one-particle set vs matrix",
-        float(np.max(np.abs(np.sort(neg) - np.sort(spectrum.all_values())))),
-        1e-8, detail=f"route {spectrum.route}"))
+    try:
+        neg = script_matrix_negative_spectrum(spec)
+    except AnalyticPathError as exc:
+        results.append(CheckResult("one-particle set vs matrix", False, None,
+                                   str(exc)))
+    else:
+        results.append(_check(
+            "one-particle set vs matrix",
+            float(np.max(np.abs(np.sort(neg) - np.sort(spectrum.all_values())))),
+            1e-8, detail=f"route {spectrum.route}"))
 
     # the Chebyshev form shares no code with the eigensolver: a strict sign
     # change between every pair of neighbouring midpoints puts a root there

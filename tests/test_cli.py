@@ -104,6 +104,20 @@ class TestVerifyCommand:
         assert "simulator stationarity" in out
         assert "FAIL" not in out
 
+    def test_complex_block_spectrum_is_a_failed_check(self, tmp_path, capsys):
+        # the block-matrix eigenvalues of this valid chain come out complex;
+        # that fails one check, and the rest of the battery still runs
+        path = tmp_path / "impurity40.json"
+        save_chain(make_impurity_spec(L=20, theta=0.6, s=1.0), path)
+        assert main(["verify", "--spec", str(path), "--level", "quick"]) == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] one-particle set vs matrix" in out
+        assert "complex eigenvalues" in out
+        for name in ("secular sign alternation", "vacuum dual computation",
+                     "[ok] eigenvector residuals",
+                     "oracle multiset equivalence"):
+            assert name in out
+
     def test_invalid_spec_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

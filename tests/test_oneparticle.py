@@ -12,6 +12,7 @@ from coagchain import (AnalyticPathError, RateTriple, bethe_residuals,
                        trivial_zero_modes)
 from coagchain.oneparticle import (DegenerateModeWarning, _secular_scaled,
                                    script_matrix_negative_spectrum)
+from coagchain.verify import run_verification
 from conftest import make_impurity_spec, make_quench_spec, random_chain
 
 
@@ -214,16 +215,13 @@ class TestBulkModes:
         assert np.isfinite(mv.aux["v"])
 
     def test_homogeneous_reduction_all_roots(self):
-        # half of these hit exact segment resonances where the closed-form
-        # transmission weights vanish 0/0; the junction-row solve takes over
+        # half of these roots are exact segment resonances: each segment's
+        # standing wave has a node one site past its junction end
         r = RateTriple.from_theta(0.5, 3.0, 0.35)
         spec = homogeneous_chain(r, 4, 4)
-        saw_resonant = False
         for lam in solve_secular(spec):
             mv = bulk_mode(spec, float(lam))
             assert mv.residual < 1e-9
-            saw_resonant = saw_resonant or mv.aux["resonant"]
-        assert saw_resonant
 
     def test_dispersion_consistency(self, quench_spec):
         # both segment dispersions reproduce the eigenvalue at the root
@@ -294,3 +292,43 @@ class TestHomogeneousModes:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             homogeneous_modes(RateTriple(1, 2, 1), 4, "third")
+
+
+def assert_junction_modes_exact(spec):
+    # every edge and bulk mode the gluing step builds is an eigenvector
+    modes = edge_modes(spec) + [bulk_mode(spec, float(lam))
+                                for lam in solve_secular(spec)]
+    assert len(modes) == 4 + spec.n_sites - 1
+    worst = max(modes, key=lambda mv: mv.residual)
+    assert worst.residual < 1e-9, (spec.L1, spec.L2, worst.kind, worst.lam)
+
+
+class TestGluedModes:
+    @pytest.mark.parametrize("n_sites", [20, 40, 120])
+    @pytest.mark.parametrize("family", ["impurity", "quench"])
+    def test_benchmark_families(self, family, n_sites):
+        # impurity theta = 0.6, s = 1 and quench delta1 = 1, delta2 = 1.3
+        if family == "impurity":
+            spec = make_impurity_spec(L=n_sites // 2, theta=0.6, s=1.0)
+        else:
+            spec = make_quench_spec(L=n_sites // 2, delta1=1.0, delta2=1.3)
+        assert_junction_modes_exact(spec)
+
+    def test_random_chains(self, rng):
+        for _ in range(40):
+            assert_junction_modes_exact(random_chain(
+                rng, int(rng.integers(2, 31)), int(rng.integers(2, 31))))
+
+    def test_long_chain_powers_do_not_overflow(self):
+        # x**e of the branch bases passes the float range from N = 700 here
+        spec = make_impurity_spec(L=400, theta=0.6, s=1.0)
+        roots = solve_secular(spec)
+        modes = edge_modes(spec) + [bulk_mode(spec, float(lam))
+                                    for lam in (roots[0], roots[-1])]
+        assert len(modes) == 6
+        assert max(mv.residual for mv in modes) < 1e-9
+
+    def test_quench_battery_passes_at_twenty_sites(self):
+        results = run_verification(make_quench_spec(L=10, delta1=1.0,
+                                                    delta2=1.3), level="quick")
+        assert [r.name for r in results if not r.passed] == []

@@ -48,6 +48,13 @@ class TestVacuumEnergy:
         with pytest.raises(ConsistencyError):
             vacuum_energy(quench_spec, broken)
 
+    def test_returns_closed_form_exactly(self):
+        # the first gap-impurity point: the summed energies are 9.4e-14
+        # off here, a relative error of 9e-7 in the gap -1.0038e-7
+        spec = make_impurity_spec(L=60, theta=0.6, s=-0.5)
+        sp = one_particle_spectrum(spec)
+        assert vacuum_energy(spec, sp) == vacuum_energy_closed_form(spec)
+
     def test_vieta_consistency(self, rng):
         # the root sum implied by the closed-form vacuum energy matches
         # the numerically found roots
