@@ -20,11 +20,9 @@ from .spins import (BulkCoefficients, JunctionCoefficients, SpinMatrixSet,
                     bulk_coefficients, junction_coefficients, spin_matrices,
                     verify_bulk_identity, verify_junction_identity)
 from .generator import (assemble_generator, brute_force_spectrum,
-                        generator_trace, index_to_occupancy,
-                        occupancy_to_index, stationary_vectors)
-from .chebyshev import ScaledValue, chebyshev_u, chebyshev_u_pair_scaled
-from .oneparticle import (ModeVector, OneParticleSpectrum, bethe_residuals,
-                          build_homogeneous_script_matrix, build_script_matrix,
+                        generator_trace, stationary_vectors)
+from .chebyshev import ScaledValue, chebyshev_u_pair_scaled
+from .oneparticle import (ModeVector, OneParticleSpectrum, build_script_matrix,
                           bulk_mode, edge_energies, edge_modes,
                           homogeneous_energies, homogeneous_modes,
                           one_particle_spectrum, pairing_residual,
@@ -33,8 +31,8 @@ from .spectrum import (GapResult, assemble_full_spectrum, critical_theta,
                        finite_homogeneous_gap, homogeneous_gap, parity,
                        spectral_gap, vacuum_energy, vacuum_energy_closed_form)
 from .report import SpectrumReport, spectrum_report
-from .sweeps import (SweepConfig, SweepPoint, impurity_gap_sweep,
-                     quench_gap_sweep, sweep_rows)
+from .sweeps import (SweepPoint, impurity_gap_sweep, quench_gap_sweep,
+                     sweep_rows)
 from .gillespie import (Event, LatticeState, SimulationResult, enabled_events,
                         run, run_replicas, total_variation)
 from .verify import CheckResult, run_verification

@@ -35,11 +35,6 @@ class ScaledValue:
         except OverflowError:
             return math.inf if self.mantissa > 0 else -math.inf
 
-    def log2_abs(self) -> float:
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log2(abs(self.mantissa)) + self.exp2
-
 
 def chebyshev_u_pair_scaled(n: int, x: np.ndarray):
     """(U_n, U_{n-1}) at each x, as mantissa arrays with a shared exponent.
@@ -76,9 +71,3 @@ def chebyshev_u_pair_scaled(n: int, x: np.ndarray):
     u_cur, u_prev, e = renormalize(u_cur, u_prev)
     exp2 += e
     return u_cur, u_prev, exp2
-
-
-def chebyshev_u(n: int, x: float) -> float:
-    """Plain U_n(x) as a float (may overflow to inf for large n, |x|>1)."""
-    u_n, _, exp2 = chebyshev_u_pair_scaled(n, np.asarray([x]))
-    return ScaledValue(float(u_n[0]), int(exp2[0])).to_float()

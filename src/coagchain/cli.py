@@ -20,7 +20,6 @@ from .errors import (AnalyticPathError, ChainValidationError,
 from .gillespie import LatticeState, run as run_simulation
 from .generator import assemble_generator, brute_force_spectrum
 from .model import RateTriple, load_chain
-from .oneparticle import bethe_residuals
 from .report import spectrum_report
 from .sweeps import impurity_gap_sweep, quench_gap_sweep, sweep_rows
 from .verify import run_verification
@@ -83,18 +82,13 @@ def cmd_spectrum(args) -> int:
                None if prefix is None else f"{prefix}spectrum.json")
     if args.one_particle:
         values, labels = report.one_particle.excitations()
-        rows = [{"label": "zero", "lambda": 0.0, "residual": 0.0,
-                 "route": report.one_particle.route}]
-        for lab, lam in zip(labels, values):
-            resid = 0.0
-            if lab.startswith("bulk"):
-                lab = "bulk"
-                resid = bethe_residuals(spec, float(lam))[0]
-            rows.append({"label": lab, "lambda": float(lam),
-                         "residual": resid,
-                         "route": report.one_particle.route})
+        route = report.one_particle.route
+        rows = [{"label": "zero", "lambda": 0.0, "route": route}]
+        rows += [{"label": "bulk" if lab.startswith("bulk") else lab,
+                  "lambda": float(lam), "route": route}
+                 for lab, lam in zip(labels, values)]
         _write_csv(None if prefix is None else f"{prefix}one_particle.csv",
-                   ["label", "lambda", "residual", "route"], rows)
+                   ["label", "lambda", "route"], rows)
     if args.brute_force:
         ev = brute_force_spectrum(assemble_generator(spec))
         rows = [{"re": float(v.real), "im": float(v.imag)} for v in ev]
@@ -103,47 +97,50 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _write_sweep(points, x_name, path):
+    """Report skipped grid points on stderr and write the sweep CSV."""
+    rows = sweep_rows(points, x_name)
+    for r in rows:
+        if r["error"]:
+            print(f"# skipped {x_name}={_fmt(r[x_name])}: {r['error']}",
+                  file=sys.stderr)
+    _write_csv(path, [x_name, "gap", "omega", "pair", "route"], rows)
+
+
+def _sweep_length(args) -> int:
+    """Sites per segment; a bad value fails the whole sweep, not each point."""
+    L = args.length or 60
+    if L < 1:
+        raise ChainValidationError(f"--length must be >= 1, got {L}")
+    return L
+
+
 def cmd_gap_impurity(args) -> int:
     thetas = args.theta if args.theta else list(FIG3_THETAS)
-    L = args.length or 60
+    L = _sweep_length(args)
     s_lo = args.s_min if args.s_min is not None else -min(args.p, args.q)
     s_grid = np.linspace(s_lo, args.s_max, args.points)
     for theta in thetas:
         rates = RateTriple.from_theta(args.p, args.q, theta)
-        points = impurity_gap_sweep(rates, L, s_grid)
-        rows = sweep_rows(points, "s")
-        skipped = [r for r in rows if r["error"]]
-        for r in skipped:
-            print(f"# skipped s={_fmt(r['s'])}: {r['error']}", file=sys.stderr)
         path = None
         if args.out is not None:
             path = f"{args.out}gap_impurity_theta{theta:g}.csv"
-        _write_csv(path, ["s", "gap", "omega", "pair", "route"],
-                   [{k: r[k] for k in ("s", "gap", "omega", "pair", "route")}
-                    for r in rows])
+        _write_sweep(impurity_gap_sweep(rates, L, s_grid), "s", path)
     return EXIT_OK
 
 
 def cmd_gap_quench(args) -> int:
     deltas1 = args.delta1 if args.delta1 else list(FIG5_DELTAS1)
-    L = args.length or 60
+    L = _sweep_length(args)
     for d1 in deltas1:
         grid = np.linspace(args.d2_lo_factor * d1, args.d2_hi_factor * d1,
                            args.points)
         points = quench_gap_sweep(args.p1, args.q1, args.p2, args.q2,
                                   d1, L, grid)
-        rows = sweep_rows(points, "delta2")
-        for r in rows:
-            if r["error"]:
-                print(f"# skipped delta2={_fmt(r['delta2'])}: {r['error']}",
-                      file=sys.stderr)
         path = None
         if args.out is not None:
             path = f"{args.out}gap_quench_delta1_{d1:g}.csv"
-        _write_csv(path, ["delta2", "gap", "omega", "pair", "route"],
-                   [{k: r[k] for k in
-                     ("delta2", "gap", "omega", "pair", "route")}
-                    for r in rows])
+        _write_sweep(points, "delta2", path)
     return EXIT_OK
 
 

@@ -2,17 +2,18 @@
 
 The CLI maps these onto process exit codes:
 
-* 1 (validation failure): ``ChainValidationError``, and
-  ``AnalyticPathError`` for parameters the analytic route does not cover,
-  such as p*q = 0 in a segment;
-* 2 (internal consistency failure): ``ConsistencyError`` and
+* 1 (validation failure): ``ChainValidationError``, which also covers an
+  unreadable or malformed chain file, and ``AnalyticPathError``, which
+  means p*q = 0 in a segment, where the free-fermion route does not apply;
+* 2 (internal consistency failure): ``ConsistencyError``, which includes
+  complex eigenvalues of the dense block matrix, and
   ``DegenerateModeError``;
 * 3 (size guard): ``SizeLimitError``.
 """
 
 
 class ChainValidationError(ValueError):
-    """Model parameters violate a positivity or range constraint."""
+    """Model input is malformed or violates a positivity or range constraint."""
 
 
 class SizeLimitError(ValueError):
@@ -24,7 +25,7 @@ class ConsistencyError(RuntimeError):
 
 
 class AnalyticPathError(RuntimeError):
-    """The closed-form/secular route does not apply to these parameters."""
+    """p*q = 0 in a segment: the closed-form/secular route does not apply."""
 
 
 class DegenerateModeError(RuntimeError):

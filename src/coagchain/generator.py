@@ -1,10 +1,10 @@
 """Full configuration-space generator and brute-force spectral oracle.
 
-Configurations of the N-site chain are indexed by bitstrings with site 1
-as the most significant bit and bit 1 meaning "occupied".  The generator
-is the sum over bonds of identity-padded local operators; it is kept
-sparse so that moderate N stay cheap, while dense eigendecompositions are
-guarded to dimension 4096.
+Configuration indices follow ``gillespie.LatticeState``: site 1 is the
+most significant bit and bit 1 means "occupied".  The generator is the
+sum over bonds of identity-padded local operators; it is kept sparse so
+that moderate N stay cheap, while dense eigendecompositions are guarded
+to dimension 4096.
 """
 
 from __future__ import annotations
@@ -18,19 +18,6 @@ from .model import ChainSpec
 
 MAX_ASSEMBLY_SITES = 24
 MAX_DENSE_DIM = 4096
-
-
-def occupancy_to_index(bits) -> int:
-    """Bit sequence (site 1 first) -> configuration index."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (1 if b else 0)
-    return idx
-
-
-def index_to_occupancy(index: int, n_sites: int) -> np.ndarray:
-    return np.array([(index >> (n_sites - 1 - k)) & 1 for k in range(n_sites)],
-                    dtype=np.uint8)
 
 
 def assemble_generator(spec: ChainSpec) -> scipy.sparse.csr_matrix:

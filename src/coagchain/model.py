@@ -306,11 +306,7 @@ class ChainValidation:
 
 def validate_chain(spec: ChainSpec) -> ChainValidation:
     """Report-style validation: collects every violated inequality."""
-    violations = list(junction_violations(spec.seg1, spec.seg2, spec.junction))
-    if spec.L1 < 1:
-        violations.append(f"L1 >= 1 (got {spec.L1})")
-    if spec.L2 < 1:
-        violations.append(f"L2 >= 1 (got {spec.L2})")
+    violations = junction_violations(spec.seg1, spec.seg2, spec.junction)
     return ChainValidation(ok=not violations, violations=tuple(violations))
 
 
@@ -375,5 +371,17 @@ def save_chain(spec: ChainSpec, path) -> None:
 
 
 def load_chain(path) -> ChainSpec:
-    with open(path) as fh:
-        return chain_from_dict(json.load(fh))
+    """Read a chain file written by ``save_chain``.
+
+    A file that cannot be read, is not JSON, lacks a key or holds a value
+    of the wrong type raises ``ChainValidationError``.
+    """
+    try:
+        with open(path) as fh:
+            return chain_from_dict(json.load(fh))
+    except ChainValidationError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ChainValidationError(
+            f"cannot read chain file {path}: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -9,10 +9,11 @@ size 2*(N+2): a block-tridiagonal real matrix whose eigenvalues come in
 * N-1 roots of a secular polynomial built from Chebyshev U factors of the
   two segments coupled through the junction rates.
 
-The secular polynomial is the characteristic polynomial of a real
-symmetric tridiagonal (Jacobi) matrix of size N-1, so its roots are that
-matrix's eigenvalues; the exactly-signed scaled secular function and the
-dense block matrix stay as independent checks.  The eigenvector
+The secular condition is written twice.  The production route takes the
+roots as the eigenvalues of a real symmetric tridiagonal (Jacobi) matrix
+of size N-1 whose characteristic polynomial is the secular one; the
+exactly-signed scaled Chebyshev form shares no code with it and serves as
+the independent check, next to the dense block matrix.  The eigenvector
 constructors mirror the analytic ansatz: plane waves (or their hyperbolic
 continuations, reached automatically through a complex branch base) in
 each segment.  One gluing step ties them together at the junction: the
@@ -33,7 +34,7 @@ import scipy.linalg
 from .chebyshev import ScaledValue, chebyshev_u_pair_scaled
 from .errors import (AnalyticPathError, ChainValidationError,
                      ConsistencyError, DegenerateModeError)
-from .model import ChainSpec, RateTriple
+from .model import ChainSpec, RateTriple, homogeneous_chain
 from .spins import BulkCoefficients, JunctionCoefficients, bulk_coefficients, \
     junction_coefficients
 
@@ -111,10 +112,6 @@ def _secular_scaled(spec: ChainSpec, lam: np.ndarray):
     x2 = (lam - 2 * s2.f) / (2 * s2.mu)
     u1, u1m, e1 = chebyshev_u_pair_scaled(spec.L1 - 1, x1)
     u2, u2m, e2 = chebyshev_u_pair_scaled(spec.L2 - 1, x2)
-    if spec.L1 == 1:
-        u1m = np.zeros_like(u1)
-    if spec.L2 == 1:
-        u2m = np.zeros_like(u2)
     coef = lam + j.Q_bar + j.p_bar + j.q_bar
     mant = (coef * u1 * u2
             - s1.mu * j.p_bar / s1.p * u1m * u2
@@ -212,18 +209,16 @@ def build_script_matrix(spec: ChainSpec) -> np.ndarray:
     return _assemble_blocks(spec.n_sites, bonds, co1.t, co2.t)
 
 
-def build_homogeneous_script_matrix(rates: RateTriple, L: int) -> np.ndarray:
-    co = bulk_coefficients(rates)
-    return _assemble_blocks(L, [_bond_tuple(co)] * (L - 1), co.t, co.t)
-
-
 def script_matrix_negative_spectrum(spec: ChainSpec,
                                     imag_tol: float = 1e-8) -> np.ndarray:
-    """Nonpositive half of the block-matrix spectrum (N+2 values, desc)."""
+    """Nonpositive half of the block-matrix spectrum (N+2 values, desc).
+
+    Complex eigenvalues of the non-normal matrix raise ``ConsistencyError``.
+    """
     m = build_script_matrix(spec)
     ev = np.linalg.eigvals(m)
     if np.max(np.abs(ev.imag)) > imag_tol * max(1.0, np.max(np.abs(ev.real))):
-        raise AnalyticPathError(
+        raise ConsistencyError(
             f"block matrix produced complex eigenvalues "
             f"(max imag {np.max(np.abs(ev.imag)):.3e})")
     re = np.sort(ev.real)
@@ -241,43 +236,6 @@ def pairing_residual(spec: ChainSpec) -> float:
     """How far the block-matrix spectrum is from exact +/- symmetry."""
     ev = np.sort(np.linalg.eigvals(build_script_matrix(spec)).real)
     return float(np.max(np.abs(ev + ev[::-1])))
-
-
-# ---------------------------------------------------------------------------
-# Bethe-equation residuals (sin form), used as a consistency invariant
-# ---------------------------------------------------------------------------
-
-def bethe_residuals(spec: ChainSpec, lam: float) -> tuple[float, float]:
-    """Residuals of the two junction quantization equations at ``lam``.
-
-    Both vanish simultaneously at a true root; physically the first
-    equation implies the second through the shared dispersion relation.
-    Residuals are normalized by the largest term magnitude.
-    """
-    s1, s2, j = spec.seg1, spec.seg2, spec.junction
-    K = j.Q_bar + j.p_bar + j.q_bar
-    z1 = cmath.acos(complex((lam - 2 * s1.f) / (2 * s1.mu)))
-    z2 = cmath.acos(complex((lam - 2 * s2.f) / (2 * s2.mu)))
-    L1, L2 = spec.L1, spec.L2
-
-    def norm_resid(terms):
-        total = sum(terms)
-        scale = max(abs(t) for t in terms)
-        return abs(total) / scale if scale > 0 else abs(total)
-
-    r1 = norm_resid([
-        (2 * s1.f + K) * cmath.sin(L1 * z1) * cmath.sin(L2 * z2),
-        -s1.mu * (j.p_bar / s1.p - 1) * cmath.sin((L1 - 1) * z1) * cmath.sin(L2 * z2),
-        -s2.mu * j.q_bar / s2.q * cmath.sin(L1 * z1) * cmath.sin((L2 - 1) * z2),
-        s1.mu * cmath.sin((L1 + 1) * z1) * cmath.sin(L2 * z2),
-    ])
-    r2 = norm_resid([
-        (2 * s2.f + K) * cmath.sin(L1 * z1) * cmath.sin(L2 * z2),
-        -s2.mu * (j.q_bar / s2.q - 1) * cmath.sin(L1 * z1) * cmath.sin((L2 - 1) * z2),
-        -s1.mu * j.p_bar / s1.p * cmath.sin((L1 - 1) * z1) * cmath.sin(L2 * z2),
-        s2.mu * cmath.sin(L1 * z1) * cmath.sin((L2 + 1) * z2),
-    ])
-    return r1, r2
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +445,8 @@ def homogeneous_modes(rates: RateTriple, L: int,
     if L < 2:
         raise ChainValidationError(f"need at least 2 sites, got L={L}")
     p, q, c2 = rates.p, rates.q, rates.cos_2theta
-    matrix = build_homogeneous_script_matrix(rates, L)
+    # the homogeneous junction makes every split L1 + L2 = L the same matrix
+    matrix = build_script_matrix(homogeneous_chain(rates, 1, L - 1))
     co = bulk_coefficients(rates)
     out = []
 

@@ -25,18 +25,19 @@ _GAP_ZERO_TOL = 1e-10
 
 
 def _segment_products(spec: ChainSpec) -> tuple[float, float]:
+    """The products delta_i*(q_i - p_i); a valid chain has d1 >= d2."""
     d1 = spec.seg1.delta * (spec.seg1.q - spec.seg1.p)
     d2 = spec.seg2.delta * (spec.seg2.q - spec.seg2.p)
+    if d1 < d2:
+        raise ChainValidationError(
+            f"delta1*(q1-p1)={d1:.6g} < delta2*(q2-p2)={d2:.6g}: "
+            f"invalid chain orientation")
     return d1, d2
 
 
 def vacuum_energy_closed_form(spec: ChainSpec) -> float:
     """Case analysis on the segment products delta_i*(q_i - p_i)."""
     d1, d2 = _segment_products(spec)
-    if d1 < d2:
-        raise ChainValidationError(
-            f"delta1*(q1-p1)={d1:.6g} < delta2*(q2-p2)={d2:.6g}: "
-            f"invalid chain orientation")
     if d2 > 0:
         return d2 / 2.0
     if d1 >= 0:
@@ -71,10 +72,6 @@ def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum,
 def parity(spec: ChainSpec) -> str:
     """Which excitation-number parity reproduces the generator spectrum."""
     d1, d2 = _segment_products(spec)
-    if d1 < d2:
-        raise ChainValidationError(
-            f"delta1*(q1-p1)={d1:.6g} < delta2*(q2-p2)={d2:.6g}: "
-            f"invalid chain orientation")
     if d1 >= d2 > 0 or 0 > d1 >= d2:
         return "odd"
     # includes the boundary ties d1 = 0 and/or d2 = 0

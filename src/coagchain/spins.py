@@ -23,18 +23,13 @@ _I2 = np.eye(2)
 
 @dataclass(frozen=True)
 class SpinMatrixSet:
-    """Raising/lowering/diagonal spin matrices at a fixed rotation angle.
-
-    All matrices used in the decompositions are real; ``s_y`` is imaginary
-    and carried only for completeness of the algebra.
-    """
+    """Raising/lowering/diagonal spin matrices at a fixed rotation angle."""
 
     theta: float
     s_plus: np.ndarray
     s_minus: np.ndarray
     s_z: np.ndarray
     s_x: np.ndarray
-    s_y: np.ndarray
 
 
 def spin_matrices(theta: float) -> SpinMatrixSet:
@@ -47,8 +42,7 @@ def spin_matrices(theta: float) -> SpinMatrixSet:
     s_minus = np.array([[c_sq, c2 / 2], [-2 * c_sq ** 2 / c2, -c_sq]])
     s_z = c2 * np.array([[1.0, 1.0], [math.tan(2 * theta) ** 2, -1.0]])
     s_x = s_plus + s_minus
-    s_y = 1j * (s_minus - s_plus)
-    return SpinMatrixSet(theta, s_plus, s_minus, s_z, s_x, s_y)
+    return SpinMatrixSet(theta, s_plus, s_minus, s_z, s_x)
 
 
 @dataclass(frozen=True)

@@ -29,23 +29,10 @@ class SweepPoint:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A 1-D parameter sweep: which knob, which values, where to write."""
-
-    parameter: str
-    values: np.ndarray
-    out_path: str | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if len(v) > 1 and not (np.all(np.diff(v) > 0) or np.all(np.diff(v) < 0)):
-            raise ChainValidationError("sweep grid must be strictly monotone")
-        object.__setattr__(self, "values", v)
-
-
-def _gap_point(spec: ChainSpec, x: float) -> SweepPoint:
+def _gap_point(x: float, make_spec) -> SweepPoint:
+    """Gap of the chain ``make_spec(x)``; an invalid point records its error."""
     try:
+        spec = make_spec(x)
         spectrum = one_particle_spectrum(spec)
         omega = vacuum_energy(spec, spectrum)
         gap = spectral_gap(spectrum, omega, parity(spec))
@@ -57,17 +44,13 @@ def _gap_point(spec: ChainSpec, x: float) -> SweepPoint:
 def impurity_gap_sweep(rates: RateTriple, L: int,
                        s_values) -> list[SweepPoint]:
     """Gap of the impurity chain (segments of L sites each) over s."""
-    out = []
-    for s in np.asarray(s_values, dtype=float):
-        try:
-            junction, _ = build_impurity_junction(rates, float(s))
-        except ChainValidationError as exc:
-            out.append(SweepPoint(float(s), None, None, (), "", error=str(exc)))
-            continue
-        spec = ChainSpec(L, L, rates, rates, junction,
-                         junction_kind="impurity", impurity_s=float(s))
-        out.append(_gap_point(spec, float(s)))
-    return out
+    def make_spec(s):
+        junction, _ = build_impurity_junction(rates, s)
+        return ChainSpec(L, L, rates, rates, junction,
+                         junction_kind="impurity", impurity_s=s)
+
+    return [_gap_point(float(s), make_spec)
+            for s in np.asarray(s_values, dtype=float)]
 
 
 def quench_gap_sweep(p1: float, q1: float, p2: float, q2: float,
@@ -75,18 +58,14 @@ def quench_gap_sweep(p1: float, q1: float, p2: float, q2: float,
                      delta2_values) -> list[SweepPoint]:
     """Gap of the quench chain over delta2 at fixed delta1."""
     seg1 = RateTriple(p1, q1, delta1)
-    out = []
-    for d2 in np.asarray(delta2_values, dtype=float):
-        try:
-            seg2 = RateTriple(p2, q2, float(d2))
-            junction, _ = build_quench_junction(seg1, seg2)
-        except ChainValidationError as exc:
-            out.append(SweepPoint(float(d2), None, None, (), "",
-                                  error=str(exc)))
-            continue
-        spec = ChainSpec(L, L, seg1, seg2, junction, junction_kind="quench")
-        out.append(_gap_point(spec, float(d2)))
-    return out
+
+    def make_spec(d2):
+        seg2 = RateTriple(p2, q2, d2)
+        junction, _ = build_quench_junction(seg1, seg2)
+        return ChainSpec(L, L, seg1, seg2, junction, junction_kind="quench")
+
+    return [_gap_point(float(d2), make_spec)
+            for d2 in np.asarray(delta2_values, dtype=float)]
 
 
 def sweep_rows(points: list[SweepPoint], x_name: str) -> list[dict]:

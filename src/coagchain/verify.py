@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gillespie
-from .errors import AnalyticPathError, ConsistencyError
+from .errors import ConsistencyError
 from .generator import (assemble_generator, brute_force_spectrum,
                         generator_trace, stationary_vectors)
 from .model import ChainSpec, validate_chain
@@ -74,7 +74,7 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
     spectrum = one_particle_spectrum(spec)
     try:
         neg = script_matrix_negative_spectrum(spec)
-    except AnalyticPathError as exc:
+    except ConsistencyError as exc:
         results.append(CheckResult("one-particle set vs matrix", False, None,
                                    str(exc)))
     else:

@@ -5,9 +5,7 @@ import pytest
 
 from coagchain import save_chain
 from coagchain.cli import main
-from coagchain.sweeps import (SweepConfig, impurity_gap_sweep,
-                              quench_gap_sweep)
-from coagchain.errors import ChainValidationError
+from coagchain.sweeps import impurity_gap_sweep, quench_gap_sweep
 from conftest import make_impurity_spec, make_quench_spec
 
 
@@ -43,7 +41,7 @@ class TestSpectrumCommand:
         assert report["checks"]["multisets_match"] is True
         assert len(report["full_spectrum"]) == 64
         csv_lines = (tmp_path / "out_one_particle.csv").read_text().splitlines()
-        assert csv_lines[0] == "label,lambda,residual,route"
+        assert csv_lines[0] == "label,lambda,route"
         assert len(csv_lines) == 1 + 6 + 2  # header + zero + edges + bulks
         bf_lines = (tmp_path / "out_brute_force.csv").read_text().splitlines()
         assert len(bf_lines) == 1 + 64
@@ -69,6 +67,18 @@ class TestSpectrumCommand:
         assert kinds.count("edge1") == 1 and kinds.count("edge2") == 1
         assert kinds.count("bulk") == 9
 
+    def test_one_particle_csv_long_chain(self, tmp_path):
+        # N = 2000 impurity chain theta = 0.6, s = 1: every energy is
+        # listed and nothing overflows
+        path = tmp_path / "impurity2000.json"
+        save_chain(make_impurity_spec(L=1000, theta=0.6, s=1.0), path)
+        prefix = str(tmp_path / "long_")
+        assert main(["spectrum", "--spec", str(path), "--one-particle",
+                     "--out", prefix]) == 0
+        lines = (tmp_path / "long_one_particle.csv").read_text().splitlines()
+        assert lines[0] == "label,lambda,route"
+        assert len(lines) == 1 + 2002
+
     def test_missing_spec_validation_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -86,6 +96,45 @@ class TestSpectrumCommand:
         save_chain(homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3), path)
         assert main(["spectrum", "--spec", str(path)]) == 1
         assert "p, q > 0" in capsys.readouterr().err
+
+
+class TestMalformedChainFile:
+    GOOD = {"L1": 2, "L2": 2,
+            "seg1": {"p": 0.5, "q": 3.0, "delta": 1.0},
+            "seg2": {"p": 0.5, "q": 3.0, "delta": 1.0},
+            "junction": {"p_bar": 0.5, "q_bar": 3.0, "Q_bar": 1.75}}
+
+    def exits_one(self, path, capsys, command="spectrum"):
+        code = main([command, "--spec", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("validation error: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "no_seg1.json"
+        doc = dict(self.GOOD)
+        del doc["seg1"]
+        path.write_text(json.dumps(doc))
+        assert "seg1" in self.exits_one(path, capsys)
+        assert "seg1" in self.exits_one(path, capsys, "simulate")
+
+    def test_wrong_type(self, tmp_path, capsys):
+        path = tmp_path / "bad_type.json"
+        path.write_text(json.dumps({**self.GOOD, "seg2": 5}))
+        self.exits_one(path, capsys)
+        path.write_text(json.dumps({**self.GOOD, "L1": "two"}))
+        self.exits_one(path, capsys)
+
+    def test_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(self.GOOD)[:-5])
+        self.exits_one(path, capsys)
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert "nowhere.json" in self.exits_one(tmp_path / "nowhere.json",
+                                                capsys, "verify")
 
 
 class TestVerifyCommand:
@@ -180,6 +229,14 @@ class TestSweepCommands:
         assert len(lines) == 11
         assert all(line.split(",")[3] for line in lines[1:])  # pair labels
 
+    def test_bad_length_fails_the_sweep(self, capsys):
+        # one validation error for the whole sweep, not a skipped row per point
+        for command in ("gap-impurity", "gap-quench"):
+            assert main([command, "--length", "-2", "--points", "3"]) == 1
+            captured = capsys.readouterr()
+            assert "--length must be >= 1" in captured.err
+            assert captured.out == ""
+
     def test_deterministic_outputs(self, tmp_path):
         a = tmp_path / "a_"
         b = tmp_path / "b_"
@@ -192,10 +249,6 @@ class TestSweepCommands:
 
 
 class TestSweepHelpers:
-    def test_monotone_grid_enforced(self):
-        with pytest.raises(ChainValidationError):
-            SweepConfig("s", np.array([0.0, 1.0, 0.5]))
-
     def test_invalid_points_reported_not_dropped(self):
         # delta2 below delta1*p1/p2 violates quench positivity
         points = quench_gap_sweep(0.6, 6.0, 6.0, 0.2, 1.0, 4,

@@ -1,22 +1,35 @@
 import numpy as np
 import pytest
 
-from coagchain import (RateTriple, SizeLimitError, assemble_generator,
-                       brute_force_spectrum, build_bulk_operator,
-                       generator_trace, homogeneous_chain, index_to_occupancy,
-                       occupancy_to_index, stationary_vectors)
+from coagchain import (LatticeState, RateTriple, SizeLimitError,
+                       assemble_generator, brute_force_spectrum,
+                       build_bulk_operator, enabled_events, generator_trace,
+                       homogeneous_chain, stationary_vectors)
 from conftest import make_impurity_spec, make_quench_spec, random_chain
 
 
 class TestIndexing:
-    def test_round_trip(self):
-        for n in (2, 3, 5):
-            for idx in range(2 ** n):
-                bits = index_to_occupancy(idx, n)
-                assert occupancy_to_index(bits) == idx
-
-    def test_site_one_most_significant(self):
-        assert occupancy_to_index([1, 0, 0]) == 4
+    def test_events_match_generator_columns(self, rng):
+        # the simulator's bitmask indexes the generator: the events enabled
+        # in configuration c, summed per target (a junction that creates
+        # pairs can reach one target through two bonds), are the
+        # off-diagonal entries of column c
+        for _ in range(12):
+            spec = random_chain(rng, int(rng.integers(1, 4)),
+                                int(rng.integers(1, 4)))
+            n = spec.n_sites
+            gen = assemble_generator(spec).toarray()
+            for c in range(2 ** n):
+                got = {}
+                for ev in enabled_events(LatticeState(c, n), spec):
+                    got[ev.new_occupancy] = got.get(ev.new_occupancy, 0.0) \
+                        + ev.rate
+                column = gen[:, c].copy()
+                column[c] = 0.0
+                targets = np.flatnonzero(column)
+                assert sorted(got) == list(targets), (n, c)
+                np.testing.assert_allclose([got[t] for t in targets],
+                                           column[targets], rtol=1e-14)
 
 
 class TestAssembly:

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coagchain import (AnalyticPathError, RateTriple, bethe_residuals,
-                       build_homogeneous_script_matrix, build_script_matrix,
-                       bulk_mode, edge_energies, edge_modes,
-                       homogeneous_chain, homogeneous_energies,
+from coagchain import (AnalyticPathError, ConsistencyError, RateTriple,
+                       build_script_matrix, bulk_mode, edge_energies,
+                       edge_modes, homogeneous_chain, homogeneous_energies,
                        homogeneous_modes, one_particle_spectrum,
                        pairing_residual, secular_function, solve_secular,
                        trivial_zero_modes)
@@ -139,27 +138,11 @@ class TestSolveSecular:
         assert np.all(signs != 0)
         assert np.all(signs[:-1] * signs[1:] == -1)
 
-    def test_bethe_equations_at_roots(self, quench_spec, rng):
-        # both junction quantization identities hold simultaneously at
-        # every root (the first implies the second on the dispersion shell)
-        for spec in [quench_spec] + [random_chain(rng) for _ in range(3)]:
-            for lam in solve_secular(spec):
-                r1, r2 = bethe_residuals(spec, float(lam))
-                assert r1 < 1e-8
-                assert r2 < 1e-8
-
 
 class TestBlockMatrix:
     def test_dimension(self):
         spec = make_quench_spec(L=3)
         assert build_script_matrix(spec).shape == (16, 16)
-
-    def test_homogeneous_junction_equals_single_chain(self):
-        r = RateTriple(0.5, 3.0, 1.0)
-        spec = homogeneous_chain(r, 3, 4)
-        np.testing.assert_allclose(build_script_matrix(spec),
-                                   build_homogeneous_script_matrix(r, 7),
-                                   atol=1e-13)
 
     def test_plus_minus_pairing(self):
         assert pairing_residual(make_quench_spec(L=3)) < 1e-9
@@ -171,6 +154,13 @@ class TestBlockMatrix:
             neg = script_matrix_negative_spectrum(spec)
             np.testing.assert_allclose(np.sort(neg),
                                        np.sort(sp.all_values()), atol=1e-8)
+
+    def test_complex_eigenvalues_are_a_consistency_error(self):
+        # a valid chain (impurity theta = 0.6, s = 1, N = 40) whose
+        # non-normal block matrix has eigenvalues with imaginary part 0.23
+        spec = make_impurity_spec(L=20, theta=0.6, s=1.0)
+        with pytest.raises(ConsistencyError, match="complex eigenvalues"):
+            script_matrix_negative_spectrum(spec)
 
 
 class TestOneParticleSpectrum:
