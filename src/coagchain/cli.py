@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``spectrum``, ``gap-impurity``, ``gap-quench``, ``verify``,
-``simulate``.  Exit codes: 0 success, 1 validation failure, 2 internal
-consistency failure, 3 size guard.  All numeric output uses 12
-significant digits so runs are byte-for-byte reproducible and tolerances
-are auditable.
+``simulate``; each declares only the options it reads.  Exit codes: 0
+success (``--help`` too), 1 validation failure, which includes every usage
+error (such as an unknown option, or a count like ``--points`` that is not
+a whole number >= 1), 2 internal consistency failure, 3 size guard.  All
+numeric output uses 12 significant digits so runs are byte-for-byte
+reproducible and tolerances are auditable.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from .errors import (AnalyticPathError, ChainValidationError,
                      ConsistencyError, DegenerateModeError, SizeLimitError)
-from .gillespie import LatticeState, run as run_simulation
-from .generator import assemble_generator, brute_force_spectrum
+from .gillespie import (_HISTOGRAM_MAX_SITES, LatticeState,
+                        run as run_simulation)
 from .model import RateTriple, load_chain
 from .report import spectrum_report
 from .sweeps import impurity_gap_sweep, quench_gap_sweep, sweep_rows
@@ -41,45 +43,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows):
+def _csv(header, rows) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in header))
-    text = "\n".join(lines) + "\n"
-    if path is None:
+    lines += [",".join(_fmt(row[h]) for h in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write(text, out, name=""):
+    """Write to the file ``out + name``, or to stdout when ``out`` is None."""
+    if out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(out + name, "w") as fh:
             fh.write(text)
 
 
-def _emit_json(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True,
-                      default=lambda v: float(v)) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+class _Count(argparse.Action):
+    """Store a float option that is a whole number >= 1 (``1e6`` too)."""
 
-
-def _add_common(parser, spec_required=False):
-    parser.add_argument("--spec", required=spec_required,
-                        help="chain definition (JSON file)")
-    parser.add_argument("--out", default=None,
-                        help="output path or prefix (default: stdout)")
-    parser.add_argument("--seed", type=int, default=42, help="RNG seed")
-    parser.add_argument("--length", type=int, default=None,
-                        help="sites per segment for generated chains")
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not (value.is_integer() and value >= 1):
+            parser.error(f"{option_string} must be >= 1 and whole, "
+                         f"got {value:g}")
+        setattr(namespace, self.dest, int(value))
 
 
 def cmd_spectrum(args) -> int:
-    spec = load_chain(args.spec)
-    report = spectrum_report(spec, include_full=args.full,
+    report = spectrum_report(load_chain(args.spec), include_full=args.full,
                              brute_force=args.brute_force)
-    prefix = args.out
-    _emit_json(report.to_dict(),
-               None if prefix is None else f"{prefix}spectrum.json")
+    _write(json.dumps(report.to_dict(), indent=2, sort_keys=True,
+                      default=float) + "\n", args.out, "spectrum.json")
     if args.one_particle:
         values, labels = report.one_particle.excitations()
         route = report.one_particle.route
@@ -87,60 +80,45 @@ def cmd_spectrum(args) -> int:
         rows += [{"label": "bulk" if lab.startswith("bulk") else lab,
                   "lambda": float(lam), "route": route}
                  for lab, lam in zip(labels, values)]
-        _write_csv(None if prefix is None else f"{prefix}one_particle.csv",
-                   ["label", "lambda", "route"], rows)
+        _write(_csv(["label", "lambda", "route"], rows), args.out,
+               "one_particle.csv")
     if args.brute_force:
-        ev = brute_force_spectrum(assemble_generator(spec))
-        rows = [{"re": float(v.real), "im": float(v.imag)} for v in ev]
-        _write_csv(None if prefix is None else f"{prefix}brute_force.csv",
-                   ["re", "im"], rows)
+        rows = [{"re": float(v.real), "im": float(v.imag)}
+                for v in report.brute_force]
+        _write(_csv(["re", "im"], rows), args.out, "brute_force.csv")
     return EXIT_OK
 
 
-def _write_sweep(points, x_name, path):
+def _write_sweep(points, x_name, out, name):
     """Report skipped grid points on stderr and write the sweep CSV."""
     rows = sweep_rows(points, x_name)
     for r in rows:
         if r["error"]:
             print(f"# skipped {x_name}={_fmt(r[x_name])}: {r['error']}",
                   file=sys.stderr)
-    _write_csv(path, [x_name, "gap", "omega", "pair", "route"], rows)
-
-
-def _sweep_length(args) -> int:
-    """Sites per segment; a bad value fails the whole sweep, not each point."""
-    L = args.length or 60
-    if L < 1:
-        raise ChainValidationError(f"--length must be >= 1, got {L}")
-    return L
+    _write(_csv([x_name, "gap", "omega", "pair", "route"], rows), out, name)
 
 
 def cmd_gap_impurity(args) -> int:
     thetas = args.theta if args.theta else list(FIG3_THETAS)
-    L = _sweep_length(args)
     s_lo = args.s_min if args.s_min is not None else -min(args.p, args.q)
     s_grid = np.linspace(s_lo, args.s_max, args.points)
     for theta in thetas:
         rates = RateTriple.from_theta(args.p, args.q, theta)
-        path = None
-        if args.out is not None:
-            path = f"{args.out}gap_impurity_theta{theta:g}.csv"
-        _write_sweep(impurity_gap_sweep(rates, L, s_grid), "s", path)
+        _write_sweep(impurity_gap_sweep(rates, args.length, s_grid), "s",
+                     args.out, f"gap_impurity_theta{theta:g}.csv")
     return EXIT_OK
 
 
 def cmd_gap_quench(args) -> int:
     deltas1 = args.delta1 if args.delta1 else list(FIG5_DELTAS1)
-    L = _sweep_length(args)
     for d1 in deltas1:
         grid = np.linspace(args.d2_lo_factor * d1, args.d2_hi_factor * d1,
                            args.points)
         points = quench_gap_sweep(args.p1, args.q1, args.p2, args.q2,
-                                  d1, L, grid)
-        path = None
-        if args.out is not None:
-            path = f"{args.out}gap_quench_delta1_{d1:g}.csv"
-        _write_sweep(points, "delta2", path)
+                                  d1, args.length, grid)
+        _write_sweep(points, "delta2", args.out,
+                     f"gap_quench_delta1_{d1:g}.csv")
     return EXIT_OK
 
 
@@ -169,23 +147,22 @@ def cmd_simulate(args) -> int:
     elif args.initial == "empty":
         initial = LatticeState.empty(n)
     else:
-        bits = [int(c) for c in args.initial]
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
+        if len(args.initial) != n or set(args.initial) - {"0", "1"}:
             raise ChainValidationError(
-                f"initial state must be 'full', 'empty', or {n} binary digits")
-        initial = LatticeState.from_bits(bits)
-    result = run_simulation(spec, initial, int(float(args.events)),
-                            seed=args.seed, t_max=args.t_max)
-    if args.profile or n > 16:
+                f"--initial must be 'full', 'empty', or {n} binary digits")
+        initial = LatticeState.from_bits([int(c) for c in args.initial])
+    result = run_simulation(spec, initial, args.events, seed=args.seed,
+                            t_max=args.t_max)
+    if args.profile or n > _HISTOGRAM_MAX_SITES:
         profile = result.density_profile()
         rows = [{"site": k + 1, "density": float(profile[k])}
                 for k in range(n)]
-        _write_csv(args.out, ["site", "density"], rows)
+        _write(_csv(["site", "density"], rows), args.out)
     else:
         hist = result.histogram()
         rows = [{"config": format(c, f"0{n}b"), "weight": w}
                 for c, w in sorted(hist.items())]
-        _write_csv(args.out, ["config", "weight"], rows)
+        _write(_csv(["config", "weight"], rows), args.out)
     return EXIT_OK
 
 
@@ -195,9 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectra of coagulation/decoagulation chains "
                     "with an impurity bond")
     sub = parser.add_subparsers(dest="command", required=True)
+    spec_help = "chain definition (JSON file)"
+    out_help = "output path or prefix (default: stdout)"
+    length_help = "sites per segment"
 
     p = sub.add_parser("spectrum", help="spectral report for one chain")
-    _add_common(p, spec_required=True)
+    p.add_argument("--spec", required=True, help=spec_help)
+    p.add_argument("--out", help=out_help)
     p.add_argument("--one-particle", action="store_true",
                    help="also emit the labeled one-particle energies as CSV")
     p.add_argument("--full", action="store_true",
@@ -208,12 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-impurity",
                        help="gap vs junction shift s for the impurity chain")
-    _add_common(p)
+    p.add_argument("--out", help=out_help)
+    p.add_argument("--length", type=float, action=_Count, default=60,
+                   help=length_help)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--q", type=float, default=3.0)
     p.add_argument("--theta", type=float, action="append",
                    help="may repeat; default 0.1 0.5 0.6 0.65")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=float, action=_Count, default=200)
     p.add_argument("--s-min", type=float, default=None,
                    help="default -min(p, q)")
     p.add_argument("--s-max", type=float, default=3.0)
@@ -221,14 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-quench",
                        help="gap vs delta2 for the spatial-quench chain")
-    _add_common(p)
+    p.add_argument("--out", help=out_help)
+    p.add_argument("--length", type=float, action=_Count, default=60,
+                   help=length_help)
     p.add_argument("--p1", type=float, default=0.6)
     p.add_argument("--q1", type=float, default=6.0)
     p.add_argument("--p2", type=float, default=6.0)
     p.add_argument("--q2", type=float, default=0.2)
     p.add_argument("--delta1", type=float, action="append",
                    help="may repeat; default 0.5 1.0 2.0")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=float, action=_Count, default=200)
     p.add_argument("--d2-lo-factor", type=float, default=0.2,
                    help="grid start as a multiple of delta1")
     p.add_argument("--d2-hi-factor", type=float, default=2.0,
@@ -236,13 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gap_quench)
 
     p = sub.add_parser("verify", help="run the consistency-check battery")
-    _add_common(p, spec_required=True)
+    p.add_argument("--spec", required=True, help=spec_help)
     p.add_argument("--level", choices=("quick", "full"), default="full")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="stochastic simulation of one chain")
-    _add_common(p, spec_required=True)
-    p.add_argument("--events", default="1e6",
+    p.add_argument("--spec", required=True, help=spec_help)
+    p.add_argument("--out", help=out_help)
+    p.add_argument("--seed", type=int, default=42, help="RNG seed")
+    p.add_argument("--events", type=float, action=_Count, default=1_000_000,
                    help="number of transitions to simulate")
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--initial", default="full",
@@ -255,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on misuse
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ChainValidationError, AnalyticPathError) as exc:

@@ -4,7 +4,8 @@ The CLI maps these onto process exit codes:
 
 * 1 (validation failure): ``ChainValidationError``, which also covers an
   unreadable or malformed chain file, and ``AnalyticPathError``, which
-  means p*q = 0 in a segment, where the free-fermion route does not apply;
+  means p*q = 0 in a segment, where the free-fermion route does not apply,
+  and every command-line usage error, which argparse reports itself;
 * 2 (internal consistency failure): ``ConsistencyError``, which includes
   complex eigenvalues of the dense block matrix, and
   ``DegenerateModeError``;

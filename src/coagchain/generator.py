@@ -18,6 +18,7 @@ from .model import ChainSpec
 
 MAX_ASSEMBLY_SITES = 24
 MAX_DENSE_DIM = 4096
+_NULL_RCOND = 1e-9  # relative singular-value cut for the null space
 
 
 def assemble_generator(spec: ChainSpec) -> scipy.sparse.csr_matrix:
@@ -49,8 +50,7 @@ def brute_force_spectrum(gen: scipy.sparse.spmatrix) -> np.ndarray:
     return ev[order]
 
 
-def stationary_vectors(gen: scipy.sparse.spmatrix,
-                       rcond: float = 1e-9) -> list[np.ndarray]:
+def stationary_vectors(gen: scipy.sparse.spmatrix) -> list[np.ndarray]:
     """Basis of the right null space (the stationary states).
 
     Vectors that are entrywise nonnegative up to sign are rescaled to
@@ -61,7 +61,8 @@ def stationary_vectors(gen: scipy.sparse.spmatrix,
         raise SizeLimitError(
             f"dimension {dim} exceeds the dense null-space guard "
             f"({MAX_DENSE_DIM})")
-    basis = scipy.linalg.null_space(np.asarray(gen.todense()), rcond=rcond)
+    basis = scipy.linalg.null_space(np.asarray(gen.todense()),
+                                    rcond=_NULL_RCOND)
     out = []
     for k in range(basis.shape[1]):
         v = basis[:, k]

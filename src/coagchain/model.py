@@ -278,8 +278,7 @@ def homogeneous_chain(rates: RateTriple, L1: int, L2: int) -> ChainSpec:
 
 
 def junction_violations(seg1: RateTriple, seg2: RateTriple,
-                        junction: JunctionRates,
-                        tol: float = _RATE_TOL) -> list[str]:
+                        junction: JunctionRates) -> list[str]:
     """Every violated junction positivity inequality, with its margin."""
     Q1, Q2 = seg1.Q, seg2.Q
     d1, d2 = seg1.delta, seg2.delta
@@ -295,7 +294,7 @@ def junction_violations(seg1: RateTriple, seg2: RateTriple,
         ("Q_bar >= Q2", Qb - Q2),
     ]
     return [f"{name} (margin {margin:.6g})"
-            for name, margin in checks if margin < -tol]
+            for name, margin in checks if margin < -_RATE_TOL]
 
 
 @dataclass(frozen=True)
@@ -360,8 +359,12 @@ def chain_from_dict(doc: dict) -> ChainSpec:
         junction, _ = build_quench_junction(seg1, seg2)
     else:
         raise ChainValidationError(f"unknown junction_kind {kind!r}")
-    return ChainSpec(int(doc["L1"]), int(doc["L2"]), seg1, seg2, junction,
-                     junction_kind=kind, impurity_s=s)
+    L1, L2 = doc["L1"], doc["L2"]
+    if type(L1) is not int or type(L2) is not int:  # not 2.7 -> 2, true -> 1
+        raise ChainValidationError(
+            f"segment lengths must be integers, got L1={L1!r}, L2={L2!r}")
+    return ChainSpec(L1, L2, seg1, seg2, junction, junction_kind=kind,
+                     impurity_s=s)
 
 
 def save_chain(spec: ChainSpec, path) -> None:

@@ -38,6 +38,8 @@ from .model import ChainSpec, RateTriple, homogeneous_chain
 from .spins import BulkCoefficients, JunctionCoefficients, bulk_coefficients, \
     junction_coefficients
 
+_IMAG_TOL = 1e-8  # largest relative imaginary part that counts as real
+
 
 @dataclass(frozen=True)
 class OneParticleSpectrum:
@@ -209,15 +211,14 @@ def build_script_matrix(spec: ChainSpec) -> np.ndarray:
     return _assemble_blocks(spec.n_sites, bonds, co1.t, co2.t)
 
 
-def script_matrix_negative_spectrum(spec: ChainSpec,
-                                    imag_tol: float = 1e-8) -> np.ndarray:
+def script_matrix_negative_spectrum(spec: ChainSpec) -> np.ndarray:
     """Nonpositive half of the block-matrix spectrum (N+2 values, desc).
 
     Complex eigenvalues of the non-normal matrix raise ``ConsistencyError``.
     """
     m = build_script_matrix(spec)
     ev = np.linalg.eigvals(m)
-    if np.max(np.abs(ev.imag)) > imag_tol * max(1.0, np.max(np.abs(ev.real))):
+    if np.max(np.abs(ev.imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(ev.real))):
         raise ConsistencyError(
             f"block matrix produced complex eigenvalues "
             f"(max imag {np.max(np.abs(ev.imag)):.3e})")

@@ -24,6 +24,7 @@ class SpectrumReport:
     one_particle: OneParticleSpectrum
     full_spectrum: np.ndarray | None = None
     checks: dict = field(default_factory=dict)
+    brute_force: np.ndarray | None = None  # dense 2^N eigenvalues, desc
 
     def to_dict(self) -> dict:
         values, labels = self.one_particle.excitations()
@@ -60,7 +61,7 @@ def spectrum_report(spec: ChainSpec, include_full: bool = False,
         "max_root": float(np.max(spectrum.bulk_roots))
         if len(spectrum.bulk_roots) else 0.0,
     }
-    full = None
+    full = bf = None
     if include_full or brute_force:
         full = assemble_full_spectrum(spectrum, omega, par, spec.n_sites)
     if brute_force:
@@ -70,4 +71,4 @@ def spectrum_report(spec: ChainSpec, include_full: bool = False,
         checks["multiset_max_diff"] = float(diff)
         checks["multisets_match"] = bool(diff < 1e-8)
     return SpectrumReport(spec, omega, par, gap.gap, gap.labels, spectrum,
-                          full if include_full else None, checks)
+                          full if include_full else None, checks, bf)

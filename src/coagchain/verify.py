@@ -28,6 +28,8 @@ from .spectrum import (assemble_full_spectrum, parity, spectral_gap,
                        vacuum_energy, vacuum_energy_closed_form)
 from .spins import verify_bulk_identity, verify_junction_identity
 
+_SIM_EVENTS, _SIM_SEED, _SIM_TOL = 300_000, 20_240_801, 0.05  # TV check
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -151,8 +153,7 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
     return results
 
 
-def _simulation_check(spec: ChainSpec, n_events: int = 300_000,
-                      seed: int = 20_240_801, tol: float = 0.05) -> CheckResult:
+def _simulation_check(spec: ChainSpec) -> CheckResult:
     """Simulated long-run occupation vs an exact stationary distribution.
 
     Runs from the fully occupied lattice; the comparison target is the
@@ -162,7 +163,7 @@ def _simulation_check(spec: ChainSpec, n_events: int = 300_000,
     """
     gen = assemble_generator(spec)
     result = gillespie.run(spec, gillespie.LatticeState.full(spec.n_sites),
-                           n_events, seed=seed)
+                           _SIM_EVENTS, seed=_SIM_SEED)
     basis = stationary_vectors(gen)
     if not basis:
         return CheckResult("simulator stationarity", False, None,
@@ -186,5 +187,5 @@ def _simulation_check(spec: ChainSpec, n_events: int = 300_000,
     if best is None:
         return CheckResult("simulator stationarity", False, None,
                            "no probability-normalizable stationary vector")
-    return CheckResult("simulator stationarity", best <= tol, best,
-                       f"TV after {result.n_events} events (tol {tol})")
+    return CheckResult("simulator stationarity", best <= _SIM_TOL, best,
+                       f"TV after {result.n_events} events (tol {_SIM_TOL})")

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from coagchain import save_chain
+from coagchain import generator, save_chain
 from coagchain.cli import main
 from coagchain.sweeps import impurity_gap_sweep, quench_gap_sweep
 from conftest import make_impurity_spec, make_quench_spec
@@ -43,6 +44,26 @@ class TestSpectrumCommand:
         csv_lines = (tmp_path / "out_one_particle.csv").read_text().splitlines()
         assert csv_lines[0] == "label,lambda,route"
         assert len(csv_lines) == 1 + 6 + 2  # header + zero + edges + bulks
+        bf_lines = (tmp_path / "out_brute_force.csv").read_text().splitlines()
+        assert len(bf_lines) == 1 + 64
+
+    def test_brute_force_diagonalises_once(self, quench_file, tmp_path,
+                                           monkeypatch):
+        calls = []
+        real = generator.brute_force_spectrum
+
+        def counted(gen):
+            calls.append(gen.shape)
+            return real(gen)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "coagchain"
+                    and hasattr(module, "brute_force_spectrum")):
+                monkeypatch.setattr(module, "brute_force_spectrum", counted)
+        prefix = str(tmp_path / "out_")
+        assert main(["spectrum", "--spec", quench_file, "--brute-force",
+                     "--out", prefix]) == 0
+        assert calls == [(64, 64)]
         bf_lines = (tmp_path / "out_brute_force.csv").read_text().splitlines()
         assert len(bf_lines) == 1 + 64
 
@@ -135,6 +156,64 @@ class TestMalformedChainFile:
     def test_missing_file(self, tmp_path, capsys):
         assert "nowhere.json" in self.exits_one(tmp_path / "nowhere.json",
                                                 capsys, "verify")
+
+
+class TestUsageErrors:
+    """argparse misuse exits 1 like any validation failure, never 2."""
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("spectrum", "--seed", "3"),
+        ("spectrum", "--length", "3"),
+        ("gap-impurity", "--spec", "x.json"),
+        ("gap-impurity", "--seed", "3"),
+        ("gap-quench", "--spec", "x.json"),
+        ("gap-quench", "--seed", "3"),
+        ("verify", "--out", "x_"),
+        ("verify", "--seed", "3"),
+        ("verify", "--length", "3"),
+        ("simulate", "--length", "3"),
+    ])
+    def test_removed_option(self, command, option, value, impurity_file,
+                            capsys):
+        argv = [command, option, value, "--points", "3"] \
+            if command.startswith("gap") \
+            else [command, "--spec", impurity_file, option, value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert option in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", ids=" ".join, argvalues=[
+        ["gap-impurity", "--points", "-1"],
+        ["gap-quench", "--points", "-1"],
+        ["gap-impurity", "--points", "0"],
+        ["gap-impurity", "--length", "0", "--points", "3"],
+        ["gap-quench", "--length", "0", "--points", "3"],
+        ["gap-quench", "--length", "2.5", "--points", "3"],
+        ["simulate", "--events", "abc"],
+        ["simulate", "--events", "1e400"],
+        ["simulate", "--events", "2.5"],
+        ["simulate", "--events", "-3"],
+        ["simulate", "--initial", "0a10"],
+    ])
+    def test_bad_value(self, argv, impurity_file, capsys):
+        if argv[0] == "simulate":
+            argv = argv + ["--spec", impurity_file]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert argv[1] in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["gap-quench", "--help"]) == 0
+        assert "--d2-lo-factor" in capsys.readouterr().out
+
+    def test_no_command(self, capsys):
+        assert main([]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestVerifyCommand:

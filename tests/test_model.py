@@ -264,3 +264,11 @@ class TestJsonRoundTrip:
         doc["junction_kind"] = "mystery"
         with pytest.raises(ChainValidationError, match="junction_kind"):
             chain_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [2.7, True, 2.0, "2"])
+    def test_non_integer_length_rejected(self, bad):
+        # int() would read 2.7 as 2 and true as 1
+        doc = chain_to_dict(homogeneous_chain(RateTriple(1, 1, 0), 2, 2))
+        doc["L2"] = bad
+        with pytest.raises(ChainValidationError, match="integers"):
+            chain_from_dict(doc)
