@@ -3,10 +3,11 @@
 Subcommands: ``spectrum``, ``gap-impurity``, ``gap-quench``, ``verify``,
 ``simulate``; each declares only the options it reads.  Exit codes: 0
 success (``--help`` too), 1 validation failure, which includes every usage
-error (such as an unknown option, or a count like ``--points`` that is not
-a whole number >= 1), 2 internal consistency failure, 3 size guard.  All
-numeric output uses 12 significant digits so runs are byte-for-byte
-reproducible and tolerances are auditable.
+error (such as an unknown option, a count like ``--points`` that is not a
+whole number >= 1, or an ``--out`` path that cannot be written), 2
+internal consistency failure, 3 size guard.  All numeric output uses 12
+significant digits so runs are byte-for-byte reproducible and tolerances
+are auditable.
 """
 
 from __future__ import annotations
@@ -53,19 +54,28 @@ def _write(text, out, name=""):
     """Write to the file ``out + name``, or to stdout when ``out`` is None."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out + name, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ChainValidationError(
+            f"cannot write {out + name}: {exc.strerror or exc}") from exc
 
 
-class _Count(argparse.Action):
-    """Store a float option that is a whole number >= 1 (``1e6`` too)."""
+def _checked(rule, ok, convert=float):
+    """An argparse action storing ``convert(value)`` if ``ok(value)``."""
+    class Checked(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if not ok(value):
+                parser.error(f"{option_string} must be {rule}, got {value:g}")
+            setattr(namespace, self.dest, convert(value))
+    return Checked
 
-    def __call__(self, parser, namespace, value, option_string=None):
-        if not (value.is_integer() and value >= 1):
-            parser.error(f"{option_string} must be >= 1 and whole, "
-                         f"got {value:g}")
-        setattr(namespace, self.dest, int(value))
+
+# counts accept 1e6 too; NaN fails every comparison, so it is no number > 0
+_Count = _checked(">= 1 and whole", lambda v: v.is_integer() and v >= 1, int)
+_Positive = _checked("a number > 0", lambda v: v > 0)
 
 
 def cmd_spectrum(args) -> int:
@@ -231,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
     p.add_argument("--events", type=float, action=_Count, default=1_000_000,
                    help="number of transitions to simulate")
-    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--t-max", type=float, action=_Positive, default=None,
+                   help="stop at this simulated time (a number > 0)")
     p.add_argument("--initial", default="full",
                    help="'full', 'empty', or an explicit bitstring")
     p.add_argument("--profile", action="store_true",

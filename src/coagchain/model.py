@@ -11,14 +11,16 @@ Q_bar)`` chosen so that the whole generator still maps onto free fermions.
 Local jump operators act on the 4-dimensional state space of one bond in
 the basis ``(++, +-, -+, --)`` where ``+`` is empty and ``-`` occupied.
 Columns index the source configuration, rows the target, so every column
-sums to zero.
+sums to zero.  A rate formed as a sum of terms is stored as exactly 0.0
+when it lies within ``ROUNDING`` of its terms' summed magnitudes; a rate
+that is a product of inputs is stored as computed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,8 +30,20 @@ from .errors import ChainValidationError
 # which is 1/sqrt(1+delta).
 DELTA_MAX = 1e12
 
-_COL_SUM_TOL = 1e-12
-_RATE_TOL = 1e-12
+# Relative rounding allowance of a value formed from a few float terms.
+ROUNDING = 16 * np.finfo(float).eps
+
+
+def _formed(*terms: float) -> float:
+    """Sum of ``terms`` left to right; exactly 0.0 within rounding of them."""
+    value = sum(terms)
+    return 0.0 if abs(value) <= ROUNDING * sum(map(abs, terms)) else value
+
+
+def column_defect(m: np.ndarray) -> float:
+    """Largest column sum of ``m``, relative to that column's magnitudes."""
+    return max(abs(sum(col)) / (sum(map(abs, col)) or 1.0)
+               for col in m.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -128,12 +142,11 @@ class LocalOperator:
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise ChainValidationError(f"local operator must be 4x4, got {m.shape}")
-        col_sums = m.sum(axis=0)
-        if np.max(np.abs(col_sums)) > _COL_SUM_TOL:
+        if column_defect(m) > ROUNDING:
             raise ChainValidationError(
-                f"columns must sum to zero, got {col_sums!r}")
+                f"columns must sum to zero, got {m.sum(axis=0)!r}")
         off = m - np.diag(np.diag(m))
-        if off.min() < -_RATE_TOL:
+        if off.min() < 0:
             raise ChainValidationError(
                 f"negative transition rate {off.min()!r} in local operator")
         m = m.copy()
@@ -146,7 +159,8 @@ class LocalOperator:
 
         Bulk bonds always preserve the vacuum.  A general junction bond may
         create particle pairs out of two empty sites, so this is a property
-        of the rates, not an invariant of the type.
+        of the rates, not an invariant of the type.  The test is exact, as
+        a rate that vanishes in exact arithmetic is stored as 0.0.
         """
         return bool(np.all(self.entries[:, 0] == 0.0))
 
@@ -199,26 +213,33 @@ def build_bulk_operator(rates: RateTriple) -> LocalOperator:
 
 def junction_matrix(seg1: RateTriple, seg2: RateTriple,
                     junction: JunctionRates) -> np.ndarray:
-    """Raw 4x4 junction matrix, without positivity screening."""
+    """The 4x4 junction generator, unscreened; the one statement of its
+    rules: no off-diagonal rate may be negative (diagonal: -column rates).
+    """
     Q1, Q2 = seg1.Q, seg2.Q
     d1, d2 = seg1.delta, seg2.delta
     pb, qb, Qb = junction.p_bar, junction.q_bar, junction.Q_bar
-    return np.array([
-        [Q2 - Q1, 0.0, 0.0, 0.0],
-        [qb * d2 - Qb - Q2, -Qb - Q1 - qb, pb, pb],
-        [pb * d1 - Qb + Q1, qb, -Qb + Q2 - pb, qb],
-        [2 * Qb - pb * d1 - qb * d2, Qb + Q1, Qb - Q2, -pb - qb],
-    ])
+    m = [
+        [0.0, 0.0, 0.0, 0.0],
+        [_formed(qb * d2, -Qb, -Q2), 0.0, pb, pb],
+        [_formed(pb * d1, -Qb, Q1), qb, 0.0, qb],
+        [_formed(2 * Qb, -pb * d1, -qb * d2), _formed(Qb, Q1),
+         _formed(Qb, -Q2), 0.0],
+    ]
+    for k, out_rate in enumerate([sum(col) for col in zip(*m)]):
+        m[k][k] = 0.0 - out_rate  # +0.0, not -0.0, for an inert column
+    return np.array(m)
 
 
 def build_junction_operator(seg1: RateTriple, seg2: RateTriple,
                             junction: JunctionRates) -> LocalOperator:
     """Junction-bond generator; raises when any rate would be negative."""
-    violations = junction_violations(seg1, seg2, junction)
+    m = junction_matrix(seg1, seg2, junction)
+    violations = junction_violations(m)
     if violations:
         raise ChainValidationError(
             "invalid junction rates: " + "; ".join(violations))
-    return LocalOperator(junction_matrix(seg1, seg2, junction))
+    return LocalOperator(m)
 
 
 def build_impurity_junction(rates: RateTriple,
@@ -227,35 +248,23 @@ def build_impurity_junction(rates: RateTriple,
 
     The impurity shifts both hopping rates by ``s`` and scales the pair
     rates accordingly; ``s = 0`` restores the homogeneous chain and
-    ``s = -min(p, q)`` is the slowest admissible junction.
+    ``s = -min(p, q)`` is the slowest admissible junction.  ``Q_bar`` is
+    formed from the shifted rates, so the junction cannot create particles
+    from an empty pair: its vacuum column is exactly zero.
     """
-    if s < -min(rates.p, rates.q):
-        raise ChainValidationError(
-            f"impurity shift s={s!r} below -min(p, q)={-min(rates.p, rates.q)!r}")
-    junction = JunctionRates(
-        p_bar=rates.p + s,
-        q_bar=rates.q + s,
-        Q_bar=((rates.p + rates.q) / 2.0 + s) * rates.delta,
-    )
+    p_bar, q_bar = rates.p + s, rates.q + s
+    junction = JunctionRates(p_bar, q_bar, (p_bar + q_bar) / 2.0 * rates.delta)
     return junction, build_junction_operator(rates, rates, junction)
 
 
 def build_quench_junction(seg1: RateTriple,
                           seg2: RateTriple) -> tuple[JunctionRates, LocalOperator]:
-    """Junction joining two arbitrary segments (the spatial-quench choice)."""
-    lhs1 = seg2.delta * seg2.p - seg1.delta * seg1.p
-    lhs2 = seg1.delta * seg1.q - seg2.delta * seg2.q
-    problems = []
-    if lhs1 < -_RATE_TOL:
-        problems.append(
-            f"delta2*p2 >= delta1*p1 violated ({seg2.delta * seg2.p:.6g} < "
-            f"{seg1.delta * seg1.p:.6g})")
-    if lhs2 < -_RATE_TOL:
-        problems.append(
-            f"delta1*q1 >= delta2*q2 violated ({seg1.delta * seg1.q:.6g} < "
-            f"{seg2.delta * seg2.q:.6g})")
-    if problems:
-        raise ChainValidationError("invalid quench rates: " + "; ".join(problems))
+    """Junction joining two arbitrary segments (the spatial-quench choice).
+
+    Valid when ``delta2*p2 >= delta1*p1`` and ``delta1*q1 >= delta2*q2``:
+    the junction rules ``q_bar*delta2 - Q2 >= Q_bar`` and
+    ``p_bar*delta1 + Q1 >= Q_bar``.
+    """
     junction = JunctionRates(
         p_bar=seg1.p,
         q_bar=seg2.q,
@@ -266,35 +275,30 @@ def build_quench_junction(seg1: RateTriple,
 
 def homogeneous_junction(rates: RateTriple) -> JunctionRates:
     """Junction rates that make the glued chain exactly homogeneous."""
-    return JunctionRates(
-        p_bar=rates.p,
-        q_bar=rates.q,
-        Q_bar=(rates.p + rates.q) / 2.0 * rates.delta,
-    )
+    return build_impurity_junction(rates, 0.0)[0]
 
 
 def homogeneous_chain(rates: RateTriple, L1: int, L2: int) -> ChainSpec:
     return ChainSpec(L1, L2, rates, rates, homogeneous_junction(rates))
 
 
-def junction_violations(seg1: RateTriple, seg2: RateTriple,
-                        junction: JunctionRates) -> list[str]:
-    """Every violated junction positivity inequality, with its margin."""
-    Q1, Q2 = seg1.Q, seg2.Q
-    d1, d2 = seg1.delta, seg2.delta
-    pb, qb, Qb = junction.p_bar, junction.q_bar, junction.Q_bar
-    checks = [
-        ("Q1 >= Q2", Q1 - Q2),
-        ("p_bar >= 0", pb),
-        ("q_bar >= 0", qb),
-        ("2*Q_bar >= p_bar*delta1 + q_bar*delta2", 2 * Qb - pb * d1 - qb * d2),
-        ("p_bar*delta1 + Q1 >= Q_bar", pb * d1 + Q1 - Qb),
-        ("Q_bar >= -Q1", Qb + Q1),
-        ("q_bar*delta2 - Q2 >= Q_bar", qb * d2 - Q2 - Qb),
-        ("Q_bar >= Q2", Qb - Q2),
-    ]
-    return [f"{name} (margin {margin:.6g})"
-            for name, margin in checks if margin < -_RATE_TOL]
+# Entry of junction_matrix -> the junction rule that its sign states.
+_JUNCTION_RULES = {
+    (0, 0): "Q1 >= Q2",
+    (1, 0): "q_bar*delta2 - Q2 >= Q_bar",
+    (2, 0): "p_bar*delta1 + Q1 >= Q_bar",
+    (3, 0): "2*Q_bar >= p_bar*delta1 + q_bar*delta2",
+    (3, 1): "Q_bar >= -Q1",
+    (3, 2): "Q_bar >= Q2",
+}
+_MARGIN_SIGN = 1.0 - 2.0 * np.eye(4)  # margin of a diagonal entry: -m
+
+
+def junction_violations(m: np.ndarray) -> list[str]:
+    """Every rule that the junction matrix ``m`` breaks, with its margin."""
+    margin = (m * _MARGIN_SIGN).tolist()
+    return [f"{rule} (margin {margin[i][j]:.6g})"
+            for (i, j), rule in _JUNCTION_RULES.items() if margin[i][j] < 0]
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,8 @@ class ChainValidation:
 
 def validate_chain(spec: ChainSpec) -> ChainValidation:
     """Report-style validation: collects every violated inequality."""
-    violations = junction_violations(spec.seg1, spec.seg2, spec.junction)
+    violations = junction_violations(
+        junction_matrix(spec.seg1, spec.seg2, spec.junction))
     return ChainValidation(ok=not violations, violations=tuple(violations))
 
 
@@ -313,26 +318,13 @@ def validate_chain(spec: ChainSpec) -> ChainValidation:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _triple_to_dict(r: RateTriple) -> dict:
-    return {"p": r.p, "q": r.q, "delta": r.delta}
-
-
 def _triple_from_dict(d: dict) -> RateTriple:
     return RateTriple(float(d["p"]), float(d["q"]), float(d["delta"]))
 
 
 def chain_to_dict(spec: ChainSpec) -> dict:
-    doc = {
-        "L1": spec.L1,
-        "L2": spec.L2,
-        "seg1": _triple_to_dict(spec.seg1),
-        "seg2": _triple_to_dict(spec.seg2),
-        "junction": {
-            "p_bar": spec.junction.p_bar,
-            "q_bar": spec.junction.q_bar,
-            "Q_bar": spec.junction.Q_bar,
-        },
-    }
+    doc = {"L1": spec.L1, "L2": spec.L2, "seg1": asdict(spec.seg1),
+           "seg2": asdict(spec.seg2), "junction": asdict(spec.junction)}
     if spec.junction_kind != "explicit":
         doc["junction_kind"] = spec.junction_kind
     if spec.junction_kind == "impurity":
@@ -350,7 +342,7 @@ def chain_from_dict(doc: dict) -> ChainSpec:
         junction = JunctionRates(float(j["p_bar"]), float(j["q_bar"]),
                                  float(j["Q_bar"]))
     elif kind == "impurity":
-        if _triple_to_dict(seg1) != _triple_to_dict(seg2):
+        if seg1 != seg2:
             raise ChainValidationError(
                 "impurity junction requires identical segments")
         s = float(doc["s"])

@@ -3,7 +3,7 @@
 Every eigenvalue of the chain generator is the vacuum energy plus a sum
 of one-particle energies over a subset of fixed parity (the zero mode is
 discarded).  The parity and the vacuum energy are determined by the signs
-of delta_i*(q_i - p_i) on the two segments; the spectral gap is the
+of Q_i = delta_i*(q_i - p_i)/2 on the two segments; the spectral gap is the
 largest strictly nonzero eigenvalue, which by negativity of the energies
 is realized with the minimal number of excitations.
 """
@@ -16,33 +16,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainValidationError, ConsistencyError, SizeLimitError
-from .model import ChainSpec, RateTriple
-from .oneparticle import OneParticleSpectrum
+from .model import ChainSpec, RateTriple, homogeneous_chain
+from .oneparticle import OneParticleSpectrum, homogeneous_energies
 from .spins import junction_coefficients
 
 MAX_ASSEMBLY_SITES = 20
 _GAP_ZERO_TOL = 1e-10
 
 
-def _segment_products(spec: ChainSpec) -> tuple[float, float]:
-    """The products delta_i*(q_i - p_i); a valid chain has d1 >= d2."""
-    d1 = spec.seg1.delta * (spec.seg1.q - spec.seg1.p)
-    d2 = spec.seg2.delta * (spec.seg2.q - spec.seg2.p)
-    if d1 < d2:
+def _segment_Q(spec: ChainSpec) -> tuple[float, float]:
+    """Q_i = delta_i*(q_i - p_i)/2; a valid chain has Q1 >= Q2."""
+    Q1, Q2 = spec.seg1.Q, spec.seg2.Q
+    if Q1 < Q2:
         raise ChainValidationError(
-            f"delta1*(q1-p1)={d1:.6g} < delta2*(q2-p2)={d2:.6g}: "
-            f"invalid chain orientation")
-    return d1, d2
+            f"Q1={Q1:.6g} < Q2={Q2:.6g}: invalid chain orientation")
+    return Q1, Q2
 
 
 def vacuum_energy_closed_form(spec: ChainSpec) -> float:
-    """Case analysis on the segment products delta_i*(q_i - p_i)."""
-    d1, d2 = _segment_products(spec)
-    if d2 > 0:
-        return d2 / 2.0
-    if d1 >= 0:
+    """Case analysis on the segment values Q_i = delta_i*(q_i - p_i)/2."""
+    Q1, Q2 = _segment_Q(spec)
+    if Q2 > 0:
+        return Q2
+    if Q1 >= 0:
         return 0.0
-    return -d1 / 2.0
+    return -Q1
 
 
 def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum,
@@ -71,10 +69,10 @@ def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum,
 
 def parity(spec: ChainSpec) -> str:
     """Which excitation-number parity reproduces the generator spectrum."""
-    d1, d2 = _segment_products(spec)
-    if d1 >= d2 > 0 or 0 > d1 >= d2:
+    Q1, Q2 = _segment_Q(spec)
+    if Q1 >= Q2 > 0 or 0 > Q1 >= Q2:
         return "odd"
-    # includes the boundary ties d1 = 0 and/or d2 = 0
+    # includes the boundary ties Q1 = 0 and/or Q2 = 0
     return "even"
 
 
@@ -157,9 +155,7 @@ def critical_theta(p: float, q: float) -> float:
 
 def finite_homogeneous_gap(rates: RateTriple, L: int) -> float:
     """Finite-chain gap of the homogeneous model via its closed-form energies."""
-    from .oneparticle import homogeneous_energies
     spectrum = homogeneous_energies(rates, L)
-    omega = abs(rates.p - rates.q) * rates.delta / 2.0
-    d = rates.delta * (rates.q - rates.p)
-    par = "odd" if d != 0 else "even"
-    return spectral_gap(spectrum, omega, par).gap
+    spec = homogeneous_chain(rates, 1, L - 1)
+    return spectral_gap(spectrum, vacuum_energy_closed_form(spec),
+                        parity(spec)).gap

@@ -196,6 +196,9 @@ class TestUsageErrors:
         ["simulate", "--events", "2.5"],
         ["simulate", "--events", "-3"],
         ["simulate", "--initial", "0a10"],
+        ["simulate", "--t-max", "-1"],
+        ["simulate", "--t-max", "0"],
+        ["simulate", "--t-max", "nan"],
     ])
     def test_bad_value(self, argv, impurity_file, capsys):
         if argv[0] == "simulate":
@@ -205,6 +208,18 @@ class TestUsageErrors:
         assert argv[1] in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["gap-impurity", "spectrum"])
+    def test_out_in_missing_directory(self, command, impurity_file,
+                                      tmp_path, capsys):
+        out = str(tmp_path / "missing" / "dir") + "/"
+        argv = ["gap-impurity", "--points", "2", "--length", "2"] \
+            if command == "gap-impurity" else ["spectrum", "--spec",
+                                                impurity_file]
+        assert main(argv + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert out in captured.err
+        assert "Traceback" not in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -308,6 +323,16 @@ class TestSweepCommands:
         assert len(lines) == 11
         assert all(line.split(",")[3] for line in lines[1:])  # pair labels
 
+    def test_steep_angle_sweep_skips_nothing(self, capsys):
+        # theta = 0.78 puts delta near 8.6e3, where an absolute rate
+        # tolerance rejected most grid points as rounding noise
+        assert main(["gap-impurity", "--theta", "0.78", "--points",
+                     "20"]) == 0
+        captured = capsys.readouterr()
+        assert "# skipped" not in captured.err
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 20 and all(row.split(",")[1] for row in rows)
+
     def test_bad_length_fails_the_sweep(self, capsys):
         # one validation error for the whole sweep, not a skipped row per point
         for command in ("gap-impurity", "gap-quench"):
@@ -336,7 +361,7 @@ class TestSweepHelpers:
         bad = [pt for pt in points if pt.error]
         good = [pt for pt in points if not pt.error]
         assert bad and good
-        assert all("delta2*p2" in pt.error for pt in bad)
+        assert all("q_bar*delta2 - Q2 >= Q_bar" in pt.error for pt in bad)
 
     def test_zero_hopping_points_recorded(self):
         from coagchain import RateTriple

@@ -12,6 +12,17 @@ class TestEnabledEvents:
         spec = make_impurity_spec(L=2)
         assert enabled_events(LatticeState.empty(4), spec) == []
 
+    def test_benchmark_impurity_vacuum_is_inert(self):
+        # theta = 0.6, s = 1 once left rounding residue of ~1e-15 as a
+        # pair-creation rate, so the empty lattice was not absorbing
+        spec = make_impurity_spec(L=4, s=1.0)
+        junction = spec.bond_operator(spec.L1)
+        assert np.all(junction.entries[:, 0] == 0.0)
+        assert junction.preserves_vacuum
+        assert enabled_events(LatticeState.empty(8), spec) == []
+        result = run(spec, LatticeState.empty(8), 100, seed=1)
+        assert result.absorbed and result.n_events == 0
+
     def test_quench_empty_lattice_not_absorbing(self):
         spec = make_quench_spec(L=2)
         events = enabled_events(LatticeState.empty(4), spec)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from coagchain import (ChainSpec, ChainValidationError, JunctionRates,
                        build_quench_junction, chain_from_dict, chain_to_dict,
                        homogeneous_chain, homogeneous_junction, load_chain,
                        save_chain, validate_chain)
+from coagchain.model import DELTA_MAX, ROUNDING, column_defect
 from conftest import make_quench_spec, random_chain
 
 rates_st = st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0),
@@ -139,7 +141,8 @@ class TestImpurityJunction:
         assert np.max(np.abs(op.entries.sum(axis=0))) < 1e-12
 
     def test_rejects_below_minimum(self):
-        with pytest.raises(ChainValidationError, match="below"):
+        with pytest.raises(ChainValidationError,
+                           match="hopping rates must be >= 0"):
             build_impurity_junction(RateTriple(0.5, 3.0, 1.0), -0.5000001)
 
 
@@ -180,7 +183,8 @@ class TestQuenchJunction:
     def test_rejects_violated_inequality(self):
         seg1 = RateTriple(2.0, 6.0, 1.0)
         seg2 = RateTriple(1.0, 0.2, 1.0)
-        with pytest.raises(ChainValidationError, match="delta2\\*p2"):
+        with pytest.raises(ChainValidationError,
+                           match="q_bar\\*delta2 - Q2 >= Q_bar"):
             build_quench_junction(seg1, seg2)
 
 
@@ -212,6 +216,68 @@ class TestValidateChain:
             junction, _ = build_quench_junction(seg1, seg2)
             spec = ChainSpec(2, 2, seg1, seg2, junction)
             assert validate_chain(spec).ok, validate_chain(spec).violations
+
+
+LARGE_DELTAS = [1e3, 1e4, 1e6, 1e9, 1e12]
+
+
+class TestRoundingRule:
+    """Valid rates build at any delta; rounding residue is stored as 0.0."""
+
+    @given(p=st.floats(0.01, 10.0), q=st.floats(0.01, 10.0),
+           log_delta=st.floats(-3.0, math.log10(DELTA_MAX)),
+           shift=st.floats(0.0, 1.0), p2=st.floats(0.01, 10.0),
+           q2=st.floats(0.01, 10.0), where=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_valid_operators_build(self, p, q, log_delta, shift, p2, q2,
+                                   where):
+        delta = min(10.0 ** log_delta, DELTA_MAX)
+        r = RateTriple(p, q, delta)
+        s = -min(p, q) + shift * (3.0 + min(p, q))
+        junction, imp = build_impurity_junction(r, s)
+        bulk = build_bulk_operator(r)
+        ops = [bulk, imp]
+        lo, hi = delta * p / p2, delta * q / q2  # quench: lo <= delta2 <= hi
+        if lo <= hi <= DELTA_MAX:
+            ops.append(build_quench_junction(
+                r, RateTriple(p2, q2, lo + where * (hi - lo)))[1])
+        for op in ops:
+            m = op.entries
+            assert (m - np.diag(np.diag(m))).min() >= 0.0
+            assert column_defect(m) <= ROUNDING
+        assert np.all(imp.entries[:, 0] == 0.0) and imp.preserves_vacuum
+        products = [bulk.entries[1, 2], bulk.entries[2, 1],
+                    bulk.entries[3, 2], bulk.entries[3, 1]]
+        assert products == [p, q, delta * p, delta * q]
+        assert [imp.entries[1, 2], imp.entries[2, 1]] \
+            == [junction.p_bar, junction.q_bar]
+
+    @pytest.mark.parametrize("delta", LARGE_DELTAS)
+    @pytest.mark.parametrize("p, q, s, factor, rule", [
+        (0.5, 3.0, 1.0, 1 + 1e-9, "q_bar*delta2 - Q2 >= Q_bar"),
+        (0.5, 3.0, 1.0, 1 + 1e-9, "p_bar*delta1 + Q1 >= Q_bar"),
+        (0.5, 3.0, 1.0, 1 - 1e-9, "2*Q_bar >= p_bar*delta1 + q_bar*delta2"),
+        (0.5, 3.0, -0.5, 1 - 1e-9, "Q_bar >= Q2"),
+        (3.0, 0.5, -0.5, 1 - 1e-9, "Q_bar >= -Q1"),
+    ])
+    def test_violation_beyond_rounding_named(self, delta, p, q, s, factor,
+                                             rule):
+        # the impurity junction sits on these bounds; moving Q_bar by 1e-9
+        # of itself makes the rule's entry negative by that much
+        r = RateTriple(p, q, delta)
+        junction, _ = build_impurity_junction(r, s)
+        nudged = JunctionRates(junction.p_bar, junction.q_bar,
+                               junction.Q_bar * factor)
+        with pytest.raises(ChainValidationError, match=re.escape(rule)):
+            build_junction_operator(r, r, nudged)
+
+    @pytest.mark.parametrize("delta", LARGE_DELTAS)
+    def test_quench_boundary_within_rounding_builds(self, delta):
+        # delta2*p2 == delta1*p1 up to the rounding of delta2 itself
+        seg1 = RateTriple(0.6, 6.0, delta / 30)
+        seg2 = RateTriple(6.0, 0.2, delta / 30 * 0.6 / 6.0)
+        _, op = build_quench_junction(seg1, seg2)
+        assert op.entries[1, 0] >= 0.0
 
 
 class TestLocalOperatorInvariants:
