@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -50,17 +51,26 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text, out, name=""):
+def _write(text, out, name="", mode="w"):
     """Write to the file ``out + name``, or to stdout when ``out`` is None."""
     if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out + name, "w") as fh:
+        with open(out + name, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise ChainValidationError(
             f"cannot write {out + name}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(out, names):
+    """Fail as ``_write`` would, before any work; probe files are removed."""
+    for name in names if out is not None else ():
+        created = not os.path.exists(out + name)
+        _write("", out, name, mode="a")
+        if created:
+            os.remove(out + name)
 
 
 def _checked(rule, ok, convert=float):
@@ -79,6 +89,9 @@ _Positive = _checked("a number > 0", lambda v: v > 0)
 
 
 def cmd_spectrum(args) -> int:
+    _check_writable(args.out, ["spectrum.json"]
+                    + ["one_particle.csv"] * args.one_particle
+                    + ["brute_force.csv"] * args.brute_force)
     report = spectrum_report(load_chain(args.spec), include_full=args.full,
                              brute_force=args.brute_force)
     _write(json.dumps(report.to_dict(), indent=2, sort_keys=True,
@@ -111,24 +124,27 @@ def _write_sweep(points, x_name, out, name):
 
 def cmd_gap_impurity(args) -> int:
     thetas = args.theta if args.theta else list(FIG3_THETAS)
+    names = [f"gap_impurity_theta{theta:g}.csv" for theta in thetas]
+    _check_writable(args.out, names)
     s_lo = args.s_min if args.s_min is not None else -min(args.p, args.q)
     s_grid = np.linspace(s_lo, args.s_max, args.points)
-    for theta in thetas:
+    for theta, name in zip(thetas, names):
         rates = RateTriple.from_theta(args.p, args.q, theta)
         _write_sweep(impurity_gap_sweep(rates, args.length, s_grid), "s",
-                     args.out, f"gap_impurity_theta{theta:g}.csv")
+                     args.out, name)
     return EXIT_OK
 
 
 def cmd_gap_quench(args) -> int:
     deltas1 = args.delta1 if args.delta1 else list(FIG5_DELTAS1)
-    for d1 in deltas1:
+    names = [f"gap_quench_delta1_{d1:g}.csv" for d1 in deltas1]
+    _check_writable(args.out, names)
+    for d1, name in zip(deltas1, names):
         grid = np.linspace(args.d2_lo_factor * d1, args.d2_hi_factor * d1,
                            args.points)
         points = quench_gap_sweep(args.p1, args.q1, args.p2, args.q2,
                                   d1, args.length, grid)
-        _write_sweep(points, "delta2", args.out,
-                     f"gap_quench_delta1_{d1:g}.csv")
+        _write_sweep(points, "delta2", args.out, name)
     return EXIT_OK
 
 
@@ -150,6 +166,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_writable(args.out, [""])
     spec = load_chain(args.spec)
     n = spec.n_sites
     if args.initial == "full":

@@ -76,9 +76,7 @@ class OneParticleSpectrum:
 
 
 def edge_energies(spec: ChainSpec) -> tuple[float, float]:
-    e1 = -abs(spec.seg1.p - spec.seg1.q) * spec.seg1.delta / 2.0
-    e2 = -abs(spec.seg2.p - spec.seg2.q) * spec.seg2.delta / 2.0
-    return e1, e2
+    return -abs(spec.seg1.Q), -abs(spec.seg2.Q)
 
 
 def homogeneous_energies(rates: RateTriple, L: int) -> OneParticleSpectrum:
@@ -91,7 +89,7 @@ def homogeneous_energies(rates: RateTriple, L: int) -> OneParticleSpectrum:
             "generator instead")
     k = np.arange(1, L)
     roots = 2 * rates.mu * np.cos(np.pi * k / L) + 2 * rates.f
-    edge = -abs(rates.p - rates.q) * rates.delta / 2.0
+    edge = -abs(rates.Q)
     return OneParticleSpectrum(0.0, edge, edge, roots, route="closed-form")
 
 
@@ -401,7 +399,7 @@ def bulk_mode(spec: ChainSpec, lam: float) -> ModeVector:
 def edge_modes(spec: ChainSpec) -> list[ModeVector]:
     """Up to four junction/boundary-localized modes, both energy signs.
 
-    A left-edge mode sits at one of the energies +/-(q1-p1)*delta1/2.
+    A left-edge mode sits at one of the energies +/-Q1 (``RateTriple.Q``).
     Segment 1 gives each of its two dispersion branches its own profile
     and segment 2 carries its branch difference; ``_glue`` weighs the
     three.  Right-edge modes swap the segments.  Degenerate cases (zero
@@ -414,8 +412,7 @@ def edge_modes(spec: ChainSpec) -> list[ModeVector]:
     out = []
     for pinned, kind, rates in ((1, "left-edge", spec.seg1),
                                 (2, "right-edge", spec.seg2)):
-        edge = (rates.q - rates.p) / 2 * rates.delta
-        for lam in (edge, -edge):
+        for lam in (rates.Q, -rates.Q):
             if abs(lam) < 1e-14:
                 warnings.warn(
                     f"{kind} energy vanishes (p=q or delta=0); mode merges "

@@ -57,7 +57,6 @@ def spectrum_report(spec: ChainSpec, include_full: bool = False,
     gap = spectral_gap(spectrum, omega, par)
     checks: dict = {
         "route": spectrum.route,
-        "root_count_ok": len(spectrum.bulk_roots) == spec.n_sites - 1,
         "max_root": float(np.max(spectrum.bulk_roots))
         if len(spectrum.bulk_roots) else 0.0,
     }

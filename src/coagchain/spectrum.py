@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainValidationError, ConsistencyError, SizeLimitError
-from .model import ChainSpec, RateTriple, homogeneous_chain
+from .model import ROUNDING, ChainSpec, RateTriple, homogeneous_chain
 from .oneparticle import OneParticleSpectrum, homogeneous_energies
 from .spins import junction_coefficients
 
@@ -43,24 +43,28 @@ def vacuum_energy_closed_form(spec: ChainSpec) -> float:
     return -Q1
 
 
-def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum,
-                  tol: float = 1e-6) -> float:
+def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum) -> float:
     """Closed-form vacuum energy, checked against the energy sum.
 
     The sum route uses all one-particle energies and the constant part of
-    the fermionic normal form; disagreement beyond ``tol`` raises.  The
-    secular roots are the eigenvalues of a Jacobi matrix, so their sum is
-    its trace identically: this checks the constants (psi, f, the edge
-    energies), not the roots.  The closed form is returned because the
-    sum carries the rounding of N terms into every gap built on it.
+    the fermionic normal form.  The secular roots are the eigenvalues of a
+    Jacobi matrix, so their sum is its trace identically: this checks the
+    constants (psi, f, the edge energies), not the roots.  The routes must
+    agree within ``ROUNDING`` times the summed magnitudes of the terms,
+    where each energy counts as the largest |energy|: an eigensolver
+    rounds every root on the scale of the matrix norm.  The closed form
+    is returned because the sum carries the rounding of N terms into
+    every gap built on it.
     """
     coj = junction_coefficients(spec.seg1, spec.seg2, spec.junction)
-    omega_sum = (-0.5 * float(np.sum(spectrum.all_values()))
-                 + (spec.L1 - 1) * spec.seg1.f
-                 + (spec.L2 - 1) * spec.seg2.f
-                 + coj.psi)
+    energies = spectrum.all_values()
+    constants = ((spec.L1 - 1) * spec.seg1.f, (spec.L2 - 1) * spec.seg2.f,
+                 coj.psi)
+    omega_sum = sum(constants, -0.5 * float(np.sum(energies)))
     omega_closed = vacuum_energy_closed_form(spec)
-    if abs(omega_sum - omega_closed) > tol:
+    scale = (0.5 * len(energies) * float(np.max(np.abs(energies)))
+             + sum(map(abs, constants)) + abs(omega_closed))
+    if abs(omega_sum - omega_closed) > ROUNDING * scale:
         raise ConsistencyError(
             f"vacuum energy mismatch: sum formula {omega_sum!r} vs closed "
             f"form {omega_closed!r}")

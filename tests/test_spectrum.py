@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coagchain import (ConsistencyError, RateTriple, SizeLimitError,
                        assemble_full_spectrum, assemble_generator,
@@ -10,8 +13,11 @@ from coagchain import (ConsistencyError, RateTriple, SizeLimitError,
                        homogeneous_energies, homogeneous_gap,
                        one_particle_spectrum, parity, spectral_gap,
                        vacuum_energy, vacuum_energy_closed_form)
+from coagchain import spectrum as spectrum_module
+from coagchain.model import DELTA_MAX
 from coagchain.spins import junction_coefficients
-from conftest import make_impurity_spec, make_quench_spec, random_chain
+from conftest import (make_benchmark_chain, make_impurity_spec,
+                      make_quench_spec, random_chain)
 
 
 class TestVacuumEnergy:
@@ -37,7 +43,7 @@ class TestVacuumEnergy:
             spec = random_chain(rng, L1=int(rng.integers(2, 6)),
                                 L2=int(rng.integers(2, 6)))
             sp = one_particle_spectrum(spec)
-            omega = vacuum_energy(spec, sp, tol=1e-8)
+            omega = vacuum_energy(spec, sp)
             assert omega == pytest.approx(vacuum_energy_closed_form(spec),
                                           abs=1e-8)
 
@@ -47,6 +53,34 @@ class TestVacuumEnergy:
                           sp.bulk_roots, sp.route)
         with pytest.raises(ConsistencyError):
             vacuum_energy(quench_spec, broken)
+
+    @pytest.mark.parametrize("family", ["impurity", "quench"])
+    @pytest.mark.parametrize("delta", [1.0, 1e9])
+    def test_psi_off_by_one_part_in_1e9_raises(self, family, delta,
+                                               monkeypatch):
+        # the tolerance scales with the terms: one part in 1e9 of psi is
+        # caught at delta = 1, and delta = 1e9 is no false alarm
+        spec = make_benchmark_chain(family, 120, delta)
+        sp = one_particle_spectrum(spec)
+        assert vacuum_energy(spec, sp) == vacuum_energy_closed_form(spec)
+
+        def nudged(*args):
+            coj = junction_coefficients(*args)
+            return dataclasses.replace(coj, psi=coj.psi * (1 + 1e-9))
+
+        monkeypatch.setattr(spectrum_module, "junction_coefficients", nudged)
+        with pytest.raises(ConsistencyError, match="vacuum energy mismatch"):
+            vacuum_energy(spec, sp)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_deltas=st.tuples(*[st.floats(-3.0, math.log10(DELTA_MAX))] * 2),
+           L1=st.integers(2, 200), L2=st.integers(2, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_no_valid_chain_raises(self, seed, log_deltas, L1, L2):
+        deltas = tuple(10.0 ** x for x in log_deltas)
+        spec = random_chain(np.random.default_rng(seed), L1, L2, deltas)
+        sp = one_particle_spectrum(spec)
+        assert vacuum_energy(spec, sp) == vacuum_energy_closed_form(spec)
 
     def test_returns_closed_form_exactly(self):
         # the first gap-impurity point: the summed energies are 9.4e-14
