@@ -103,9 +103,9 @@ def _require_hopping(spec: ChainSpec) -> None:
             "secular equation needs p, q > 0 in both segments")
 
 
-def _secular_scaled(spec: ChainSpec, lam: np.ndarray):
-    """Mantissas and exponents of the secular function on an array of lam."""
-    lam = np.asarray(lam, dtype=float)
+def _secular_scaled(spec: ChainSpec, lam):
+    """Mantissa and exponent of the secular function at a float lam, or
+    mantissas and exponents on an array of them."""
     _require_hopping(spec)
     s1, s2, j = spec.seg1, spec.seg2, spec.junction
     x1 = (lam - 2 * s1.f) / (2 * s1.mu)
@@ -121,8 +121,7 @@ def _secular_scaled(spec: ChainSpec, lam: np.ndarray):
 
 def secular_function(spec: ChainSpec, lam: float) -> ScaledValue:
     """Secular function at one energy, in exact-sign scaled form."""
-    mant, exp2 = _secular_scaled(spec, np.asarray([float(lam)]))
-    return ScaledValue(float(mant[0]), int(exp2[0]))
+    return ScaledValue(*_secular_scaled(spec, float(lam)))
 
 
 def solve_secular(spec: ChainSpec) -> np.ndarray:

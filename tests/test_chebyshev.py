@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_chebyu
 
 from coagchain import ScaledValue, chebyshev_u_pair_scaled
+
+
+def _bits(v) -> int:
+    return int(np.float64(v).view(np.int64))
 
 
 def u_values(n, x):
@@ -78,3 +84,23 @@ class TestChebyshevU:
         u_n, u_nm1 = u_values(6, x)
         np.testing.assert_allclose(u_n, eval_chebyu(6, x), rtol=1e-12)
         np.testing.assert_allclose(u_nm1, eval_chebyu(5, x), rtol=1e-12)
+
+
+class TestScalarPath:
+    @given(x=st.floats(-60.0, 60.0),
+           others=st.lists(st.floats(-60.0, 60.0), max_size=5),
+           n_pick=st.integers(0, 8), offset=st.integers(-1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_float_matches_array_bitwise(self, x, others, n_pick, offset):
+        # n = -1 and 0, and one step before, at and after a multiple of
+        # the renormalisation stride
+        stride = max(1, int(900.0 / math.log2(2.0 * abs(x) + 4.0)))
+        n = n_pick - 1 if n_pick < 2 else (n_pick - 1) * stride + offset
+        u_n, u_nm1, exp2 = chebyshev_u_pair_scaled(n, x)
+        assert isinstance(u_n, float) and isinstance(u_nm1, float)
+        assert isinstance(exp2, int)
+        for xs in ([x], [x] + others):
+            a_n, a_nm1, a_exp2 = chebyshev_u_pair_scaled(n, np.array(xs))
+            assert _bits(u_n) == _bits(a_n[0])
+            assert _bits(u_nm1) == _bits(a_nm1[0])
+            assert exp2 == int(a_exp2[0])

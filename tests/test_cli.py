@@ -266,6 +266,20 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_skipped_oracle_is_not_reported_as_passed(self, tmp_path,
+                                                       capsys):
+        # N = 20 is past the dense oracle's size: the check did not run
+        path = tmp_path / "quench20.json"
+        save_chain(make_quench_spec(L=10), path)
+        assert main(["verify", "--spec", str(path), "--level", "quick"]) == 0
+        out = capsys.readouterr().out
+        assert "[skipped] oracle multiset equivalence" in out
+        assert "[ok] oracle" not in out
+        assert "all checks passed" not in out
+        assert out.splitlines()[-1] == (
+            "all checks that ran passed; not run: oracle multiset "
+            "equivalence")
+
     def test_homogeneous_full_battery(self, tmp_path, capsys):
         from coagchain import RateTriple, homogeneous_chain
         path = tmp_path / "hom.json"
@@ -286,7 +300,7 @@ class TestVerifyCommand:
         assert "complex eigenvalues" in out
         for name in ("secular sign alternation", "vacuum dual computation",
                      "[ok] eigenvector residuals",
-                     "oracle multiset equivalence"):
+                     "[skipped] oracle multiset equivalence"):
             assert name in out
 
     def test_invalid_spec_exit_one(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coagchain import (ConsistencyError, RateTriple, SizeLimitError,
@@ -14,7 +14,8 @@ from coagchain import (ConsistencyError, RateTriple, SizeLimitError,
                        one_particle_spectrum, parity, spectral_gap,
                        vacuum_energy, vacuum_energy_closed_form)
 from coagchain import spectrum as spectrum_module
-from coagchain.model import DELTA_MAX
+from coagchain.model import DELTA_MAX, ROUNDING
+from coagchain.oneparticle import OneParticleSpectrum
 from coagchain.spins import junction_coefficients
 from conftest import (make_benchmark_chain, make_impurity_spec,
                       make_quench_spec, random_chain)
@@ -191,6 +192,121 @@ class TestSpectralGap:
         omega = vacuum_energy(spec, sp)
         result = spectral_gap(sp, omega, "odd")
         assert len(result.labels) == 1
+
+
+def _enumerated_gap(spectrum, omega, par):
+    """The O(N^2) reference: every minimal-excitation candidate in
+    ``excitations()`` order, the first largest one not indistinguishable
+    from zero."""
+    values, labels = spectrum.excitations()
+    zero_tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
+    candidates = []
+    if par == "odd":
+        for lam, lab in zip(values, labels):
+            candidates.append((omega + lam, (lab,), (lam,)))
+    else:
+        for i in range(len(values)):
+            for k in range(i + 1, len(values)):
+                candidates.append((omega + values[i] + values[k],
+                                   (labels[i], labels[k]),
+                                   (values[i], values[k])))
+    nonzero = [c for c in candidates if abs(c[0]) > zero_tol]
+    if not nonzero:
+        raise ConsistencyError("all minimal-excitation eigenvalues vanish")
+    gap, labs, ens = max(nonzero, key=lambda c: c[0])
+    return float(gap), labs, tuple(float(e) for e in ens)
+
+
+@st.composite
+def _gap_inputs(draw):
+    """Excitation energies drawn from a small pool, so that edge1 == edge2
+    and repeated bulk values are common, with exact zeros and values at
+    the zero band; omega puts one candidate at, inside or just outside the
+    band +-zero_tol, or makes the sums positive, down to sums that all
+    round to omega."""
+    pool = draw(st.lists(st.floats(-5.0, 0.0), min_size=1, max_size=4))
+    pool += [0.0, -1e-11, -1e-10]
+    values = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=40))
+    par = draw(st.sampled_from(["odd", "even"]))
+    zero_tol = 1e-10 * max(1.0, max(abs(v) for v in values))
+    a, b = draw(st.lists(st.integers(0, len(values) - 1), min_size=2,
+                         max_size=2, unique=True))
+    target = -values[a] if par == "odd" else -(values[a] + values[b])
+    shift = draw(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5]))
+    omega = draw(st.one_of(st.just(target + shift * zero_tol),
+                           st.floats(0.0, 20.0), st.just(0.0),
+                           st.sampled_from([1e16, 1e17])))
+    return values, omega, par
+
+
+class TestGapSelection:
+    @given(_gap_inputs())
+    @example(([0.0, 0.0, -1e-11], 0.0, "odd"))
+    @example(([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0], 0.5, "even"))
+    # every sum rounds to omega, so the lexicographic first pair lies
+    # outside the top four energies and the bound only ties the best
+    @example(([-3.0, -3.5, -1.0, -1.5, -2.0, -2.5], 1e17, "even"))
+    # the top pairs with the first energy vanish; the fifth energy, not
+    # the sixth, bounds the candidates left out
+    @example(([-0.5, -1.5, -1.5, -1.5, -1.6, -5.0], 2.0, "even"))
+    # (omega + v5) + v1 rounds above (omega + v1) + v5 and ties the best
+    @example(([-1.9127555772777218, -0.8132702392002724, -1.9127555772777214,
+               -1.9127555772777214, -1.9127555772777214], 0.5413190888213227,
+              "even"))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_enumeration(self, inputs):
+        values, omega, par = inputs
+        sp = OneParticleSpectrum(0.0, values[0], values[1],
+                                 np.array(values[2:]), "secular")
+        try:
+            want = _enumerated_gap(sp, omega, par)
+        except ConsistencyError:
+            with pytest.raises(ConsistencyError, match="vanish"):
+                spectral_gap(sp, omega, par)
+            return
+        got = spectral_gap(sp, omega, par)
+        assert (got.gap, got.labels, got.energies) == want
+
+    def test_every_candidate_vanishing_raises(self):
+        sp = OneParticleSpectrum(0.0, 0.0, 0.0, np.zeros(5), "secular")
+        for par in ("odd", "even"):
+            with pytest.raises(ConsistencyError, match="vanish"):
+                spectral_gap(sp, 0.0, par)
+
+    def test_large_quench_matches_all_pairs(self):
+        spec = make_benchmark_chain("quench", 2000)
+        sp = one_particle_spectrum(spec)
+        omega = vacuum_energy(spec, sp)
+        values, labels = sp.excitations()
+        i, k = np.triu_indices(len(values), 1)
+        sums = (omega + values[i]) + values[k]
+        zero_tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
+        kept = np.flatnonzero(np.abs(sums) > zero_tol)
+        best = kept[np.argmax(sums[kept])]
+        got = spectral_gap(sp, omega, "even")
+        assert parity(spec) == "even"
+        assert got.gap == float(sums[best])
+        assert got.labels == (labels[i[best]], labels[k[best]])
+        assert got.energies == (float(values[i[best]]),
+                                float(values[k[best]]))
+
+
+class TestFiniteSizeScaling:
+    @pytest.mark.parametrize("n_sites", [240, 480, 1000, 4000])
+    def test_exact_finite_size_law(self, n_sites):
+        # the s = 0 impurity chain is homogeneous: its gap is exactly
+        # gap_inf - 2*mu*(1 - cos(pi/L)), here met to rounding of the terms
+        rates = RateTriple.from_theta(0.5, 3.0, 0.6)
+        spec = make_impurity_spec(n_sites // 2, theta=0.6, s=0.0)
+        sp = one_particle_spectrum(spec)
+        omega = vacuum_energy(spec, sp)
+        result = spectral_gap(sp, omega, parity(spec))
+        assert sp.route == "secular" and result.labels == ("bulk1",)
+        gap_inf = homogeneous_gap(rates)
+        offset = 2 * rates.mu * (1 - math.cos(math.pi / n_sites))
+        scale = (abs(omega) + abs(result.energies[0]) + abs(gap_inf)
+                 + 2 * rates.mu)
+        assert abs(result.gap - (gap_inf - offset)) <= ROUNDING * scale
 
 
 class TestHomogeneousGap:
