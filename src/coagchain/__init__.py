@@ -33,8 +33,7 @@ from .spectrum import (GapResult, assemble_full_spectrum, critical_theta,
 from .report import SpectrumReport, spectrum_report
 from .sweeps import (SweepPoint, impurity_gap_sweep, quench_gap_sweep,
                      sweep_rows)
-from .gillespie import (Event, LatticeState, SimulationResult, enabled_events,
-                        run, run_replicas, total_variation)
+from .gillespie import LatticeState, SimulationResult, run, total_variation
 from .verify import CheckResult, run_verification
 
 __version__ = "0.1.0"

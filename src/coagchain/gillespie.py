@@ -2,10 +2,11 @@
 
 Events are read off the columns of the very same local operators that
 build the generator, so the simulator and the matrix machinery cannot
-disagree about rates.  The sampler is the direct method: exponential
-waiting time at the total rate, then a linear scan over per-bond event
-tables.  Runs are reproducible: one PCG64 stream seeded by the caller,
-with replica streams at seed_base + replica_index.
+disagree about rates.  Bonds that share an operator share its event
+table.  The sampler is the direct method: exponential waiting time at
+the total rate, then a linear scan over the bonds' total rates and a
+bisection of the chosen bond's cumulative rates.  A run is reproducible:
+it draws from one PCG64 stream seeded by the caller.
 """
 
 from __future__ import annotations
@@ -47,27 +48,26 @@ class LatticeState:
                 for k in range(self.n_sites)]
 
 
-@dataclass(frozen=True)
-class Event:
-    bond: int          # 1-based bond index
-    target_pair: int   # two-site configuration after the event
-    rate: float
-    new_occupancy: int
+def _event_table(m: np.ndarray) -> list[tuple]:
+    """Per source pair of the operator ``m``: the target pairs, their
+    cumulative rates and the total rate."""
+    table = []
+    for source in range(4):
+        targets = [t for t in range(4) if t != source and m[t, source] > 0]
+        cum = list(accumulate(float(m[t, source]) for t in targets))
+        table.append((targets, cum, cum[-1] if cum else 0.0))
+    return table
 
 
 def _bond_tables(spec: ChainSpec):
-    """For each bond: events[source_pair] = (targets, rates, cum, total)."""
+    """Event table of every bond, one table per distinct operator."""
+    by_operator = {}
     tables = []
     for k in range(1, spec.n_sites):
-        m = spec.bond_operator(k).entries
-        per_config = []
-        for source in range(4):
-            targets = [t for t in range(4) if t != source and m[t, source] > 0]
-            rates = [float(m[t, source]) for t in targets]
-            cum = list(accumulate(rates))
-            total = cum[-1] if cum else 0.0
-            per_config.append((targets, rates, cum, total))
-        tables.append(per_config)
+        op = spec.bond_operator(k)
+        if id(op) not in by_operator:
+            by_operator[id(op)] = _event_table(op.entries)
+        tables.append(by_operator[id(op)])
     return tables
 
 
@@ -78,20 +78,6 @@ def _pair_of(occ: int, bond: int, n: int) -> int:
 def _apply_pair(occ: int, bond: int, n: int, pair: int) -> int:
     shift = n - 1 - bond
     return (occ & ~(3 << shift)) | (pair << shift)
-
-
-def enabled_events(state: LatticeState, spec: ChainSpec) -> list[Event]:
-    """Every transition enabled in the current configuration."""
-    tables = _bond_tables(spec)
-    n = state.n_sites
-    events = []
-    for k in range(1, n):
-        pair = _pair_of(state.occupancy, k, n)
-        targets, rates, _, _ = tables[k - 1][pair]
-        for t, r in zip(targets, rates):
-            events.append(Event(k, t, r,
-                                _apply_pair(state.occupancy, k, n, t)))
-    return events
 
 
 @dataclass
@@ -144,7 +130,7 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
 
     bond_range = range(1, n)
     while executed < n_events:
-        totals = [tables[k - 1][_pair_of(occ, k, n)][3] for k in bond_range]
+        totals = [tables[k - 1][_pair_of(occ, k, n)][2] for k in bond_range]
         rate_sum = sum(totals)
         if rate_sum == 0.0:
             absorbed = True
@@ -161,7 +147,7 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
         while u > totals[bond - 1] and bond < n - 1:
             u -= totals[bond - 1]
             bond += 1
-        targets, _, cum, _ = tables[bond - 1][_pair_of(occ, bond, n)]
+        targets, cum, _ = tables[bond - 1][_pair_of(occ, bond, n)]
         occ = _apply_pair(occ, bond, n, targets[bisect_right(cum, u)
                                                 if u < cum[-1] else len(cum) - 1])
         executed += 1
@@ -173,25 +159,6 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
                     site_occ[k] += w
     return SimulationResult(weights, site_occ, t - initial.time, executed,
                             absorbed, LatticeState(occ, n, t), seed)
-
-
-def run_replicas(spec: ChainSpec, initial: LatticeState, n_events: int,
-                 seed_base: int, n_replicas: int) -> dict[int, float]:
-    """Merged normalized histogram of independent replicas.
-
-    Replica k runs on its own stream seeded with seed_base + k; merging
-    sums time weights, so the result is order-independent.
-    """
-    weights: dict[int, float] = {}
-    total = 0.0
-    for k in range(n_replicas):
-        result = run(spec, initial, n_events, seed=seed_base + k)
-        for config, w in result.config_weights.items():
-            weights[config] = weights.get(config, 0.0) + w
-        total += result.total_time
-    if total > 0:
-        weights = {c: w / total for c, w in weights.items()}
-    return weights
 
 
 def total_variation(histogram: dict[int, float], exact: np.ndarray) -> float:

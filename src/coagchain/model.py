@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -187,13 +188,29 @@ class ChainSpec:
         return self.L1 + self.L2
 
     def bond_operator(self, k: int) -> LocalOperator:
-        """Operator of bond ``k`` (1-based; bond k couples sites k, k+1)."""
+        """Operator of bond ``k`` (1-based; bond k couples sites k, k+1).
+
+        Bonds of one segment share one operator, built on first use; an
+        invalid junction raises only when its own bond is asked for.
+        """
         if not 1 <= k <= self.n_sites - 1:
             raise ChainValidationError(f"bond index {k} out of range")
         if k < self.L1:
-            return build_bulk_operator(self.seg1)
+            return self._seg1_operator
         if k == self.L1:
-            return build_junction_operator(self.seg1, self.seg2, self.junction)
+            return self._junction_operator
+        return self._seg2_operator
+
+    @cached_property
+    def _seg1_operator(self) -> LocalOperator:
+        return build_bulk_operator(self.seg1)
+
+    @cached_property
+    def _junction_operator(self) -> LocalOperator:
+        return build_junction_operator(self.seg1, self.seg2, self.junction)
+
+    @cached_property
+    def _seg2_operator(self) -> LocalOperator:
         return build_bulk_operator(self.seg2)
 
 

@@ -35,8 +35,7 @@ from .chebyshev import ScaledValue, chebyshev_u_pair_scaled
 from .errors import (AnalyticPathError, ChainValidationError,
                      ConsistencyError, DegenerateModeError)
 from .model import ChainSpec, RateTriple, homogeneous_chain
-from .spins import BulkCoefficients, JunctionCoefficients, bulk_coefficients, \
-    junction_coefficients
+from .spins import bulk_coefficients, junction_coefficients
 
 _IMAG_TOL = 1e-8  # largest relative imaginary part that counts as real
 
@@ -163,64 +162,53 @@ def _t_block(t: float) -> np.ndarray:
     return np.array([[-t, -t], [t, t]])
 
 
-def _assemble_blocks(n_sites: int, bonds, t1: float, t2: float) -> np.ndarray:
-    """Generic block assembly; bonds is a list of (a,b,c,d,h,h_bar)."""
-    dim = 2 * (n_sites + 2)
-    m = np.zeros((dim, dim))
-
-    def blk(i, j):
-        return np.s_[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-
-    for k, (a, b, c, d, h, h_bar) in enumerate(bonds, start=1):
-        m[blk(k, k)] += 2 * np.diag([h, -h])
-        m[blk(k + 1, k + 1)] += 2 * np.diag([h_bar, -h_bar])
-        m[blk(k, k + 1)] += np.array([[-a, -c], [d, b]])
-        m[blk(k + 1, k)] += np.array([[-b, c], [-d, a]])
-    tb1, tb2 = _t_block(t1), _t_block(t2)
-    m[blk(0, 1)] += tb1
-    m[blk(1, 0)] += tb1.T
-    m[blk(n_sites, n_sites + 1)] += -tb2
-    m[blk(n_sites + 1, n_sites)] += -tb2.T
-    return m
-
-
-def _bond_tuple(co: BulkCoefficients):
-    return (co.a, co.b, co.c, co.d, co.h, co.h_bar)
-
-
-def _junction_tuple(co: JunctionCoefficients):
-    return (co.alpha, co.beta, co.gamma, co.delta_c, co.eta, co.eta_bar)
-
-
 def build_script_matrix(spec: ChainSpec) -> np.ndarray:
     """Block-tridiagonal one-particle matrix of the extended chain.
 
     Sites 0 .. N+1 each carry a (+, -) component pair; the two extra sites
     absorb the boundary terms of the spin decomposition, and the junction
-    bond contributes its own coefficient blocks.
+    bond contributes its own coefficient blocks.  Bond k adds one 4x4 block
+    on sites k, k+1; the blocks of neighbouring bonds overlap only on the
+    diagonal, so no entry is a sum of more than two terms.
     """
     co1 = bulk_coefficients(spec.seg1)
     co2 = bulk_coefficients(spec.seg2)
     coj = junction_coefficients(spec.seg1, spec.seg2, spec.junction)
-    bonds = ([_bond_tuple(co1)] * (spec.L1 - 1)
-             + [_junction_tuple(coj)]
-             + [_bond_tuple(co2)] * (spec.L2 - 1))
-    return _assemble_blocks(spec.n_sites, bonds, co1.t, co2.t)
+
+    def bond_block(a, b, c, d, h, h_bar):
+        return np.array([[2 * h, 0.0, -a, -c], [0.0, -2 * h, d, b],
+                         [-b, c, 2 * h_bar, 0.0], [-d, a, 0.0, -2 * h_bar]])
+
+    bulk1 = bond_block(co1.a, co1.b, co1.c, co1.d, co1.h, co1.h_bar)
+    bulk2 = bond_block(co2.a, co2.b, co2.c, co2.d, co2.h, co2.h_bar)
+    blocks = ([bulk1] * (spec.L1 - 1)
+              + [bond_block(coj.alpha, coj.beta, coj.gamma, coj.delta_c,
+                            coj.eta, coj.eta_bar)]
+              + [bulk2] * (spec.L2 - 1))
+    n = spec.n_sites
+    m = np.zeros((2 * n + 4, 2 * n + 4))
+    for k, block in enumerate(blocks, start=1):
+        m[2 * k:2 * k + 4, 2 * k:2 * k + 4] += block
+    tb1, tb2 = _t_block(co1.t), _t_block(co2.t)
+    m[0:2, 2:4] += tb1
+    m[2:4, 0:2] += tb1.T
+    m[2 * n:2 * n + 2, 2 * n + 2:] += -tb2
+    m[2 * n + 2:, 2 * n:2 * n + 2] += -tb2.T
+    return m
 
 
-def script_matrix_negative_spectrum(spec: ChainSpec) -> np.ndarray:
-    """Nonpositive half of the block-matrix spectrum (N+2 values, desc).
+def script_matrix_negative_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    """Nonpositive half of the block-matrix spectrum (N+2 values, desc),
+    from all of its ``eigenvalues``.
 
     Complex eigenvalues of the non-normal matrix raise ``ConsistencyError``.
     """
-    m = build_script_matrix(spec)
-    ev = np.linalg.eigvals(m)
-    if np.max(np.abs(ev.imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(ev.real))):
+    imag = float(np.max(np.abs(eigenvalues.imag)))
+    if imag > _IMAG_TOL * max(1.0, np.max(np.abs(eigenvalues.real))):
         raise ConsistencyError(
-            f"block matrix produced complex eigenvalues "
-            f"(max imag {np.max(np.abs(ev.imag)):.3e})")
-    re = np.sort(ev.real)
-    return re[:spec.n_sites + 2][::-1]
+            f"block matrix produced complex eigenvalues (max imag {imag:.3e})")
+    re = np.sort(eigenvalues.real)
+    return re[:len(re) // 2][::-1]
 
 
 def one_particle_spectrum(spec: ChainSpec) -> OneParticleSpectrum:
@@ -230,9 +218,9 @@ def one_particle_spectrum(spec: ChainSpec) -> OneParticleSpectrum:
                                route="secular")
 
 
-def pairing_residual(spec: ChainSpec) -> float:
-    """How far the block-matrix spectrum is from exact +/- symmetry."""
-    ev = np.sort(np.linalg.eigvals(build_script_matrix(spec)).real)
+def pairing_residual(eigenvalues: np.ndarray) -> float:
+    """How far the block-matrix ``eigenvalues`` are from exact +/- symmetry."""
+    ev = np.sort(eigenvalues.real)
     return float(np.max(np.abs(ev + ev[::-1])))
 
 
@@ -286,9 +274,9 @@ def _finish_mode(matrix, kind, lam, comp, t1, t2, n, aux):
     return ModeVector(kind, lam, comp, resid, aux)
 
 
-def trivial_zero_modes(spec: ChainSpec) -> list[ModeVector]:
-    """The two exact zero modes, supported on the extended boundary sites."""
-    matrix = build_script_matrix(spec)
+def trivial_zero_modes(spec: ChainSpec, matrix: np.ndarray) -> list[ModeVector]:
+    """The two exact zero modes, supported on the extended boundary sites;
+    ``matrix`` is the chain's ``build_script_matrix``."""
     n = spec.n_sites
     out = []
     for sign in (+1.0, -1.0):
@@ -372,31 +360,32 @@ def _glue(spec: ChainSpec, matrix: np.ndarray, kind: str, lam: float,
     flat = np.stack([prof.reshape(-1) for prof in profiles], axis=1)
     weights = np.linalg.svd(matrix[rows] @ flat - lam * flat[rows])[2][-1].conj()
     return _finish_mode(matrix, kind, lam, (flat @ weights).reshape(-1, 2),
-                        bulk_coefficients(spec.seg1).t,
-                        bulk_coefficients(spec.seg2).t, spec.n_sites,
+                        spec.seg1.t, spec.seg2.t, spec.n_sites,
                         {**aux, "w": weights})
 
 
-def bulk_mode(spec: ChainSpec, lam: float) -> ModeVector:
+def bulk_mode(spec: ChainSpec, lam: float, matrix: np.ndarray) -> ModeVector:
     """Eigenvector for one secular root, glued across the junction.
 
     Each segment carries its branch-difference profile and ``_glue``
-    weighs the two so the junction rows hold.  ``aux["v"]`` is the weight
-    ratio w1/w2 of the two normalised profiles.
+    weighs the two so the junction rows of ``matrix``, the chain's
+    ``build_script_matrix``, hold.  ``aux["v"]`` is the weight ratio w1/w2
+    of the two normalised profiles.
     """
     if spec.L1 < 2 or spec.L2 < 2:
         raise DegenerateModeError("bulk-mode ansatz needs both segments >= 2 sites")
     x1, prof1 = _diff_profile(spec, 1, lam)
     x2, prof2 = _diff_profile(spec, 2, lam)
-    mode = _glue(spec, build_script_matrix(spec), "bulk", lam, [prof1, prof2],
+    mode = _glue(spec, matrix, "bulk", lam, [prof1, prof2],
                  {"x1": x1, "x2": x2})
     w1, w2 = mode.aux["w"]
     mode.aux["v"] = w1 / w2 if abs(w2) > 0 else math.inf
     return mode
 
 
-def edge_modes(spec: ChainSpec) -> list[ModeVector]:
-    """Up to four junction/boundary-localized modes, both energy signs.
+def edge_modes(spec: ChainSpec, matrix: np.ndarray) -> list[ModeVector]:
+    """Up to four junction/boundary-localized modes of ``matrix``, the
+    chain's ``build_script_matrix``, both energy signs.
 
     A left-edge mode sits at one of the energies +/-Q1 (``RateTriple.Q``).
     Segment 1 gives each of its two dispersion branches its own profile
@@ -407,7 +396,6 @@ def edge_modes(spec: ChainSpec) -> list[ModeVector]:
     """
     if spec.L1 < 2 or spec.L2 < 2:
         raise DegenerateModeError("edge-mode ansatz needs both segments >= 2 sites")
-    matrix = build_script_matrix(spec)
     out = []
     for pinned, kind, rates in ((1, "left-edge", spec.seg1),
                                 (2, "right-edge", spec.seg2)):
@@ -444,7 +432,6 @@ def homogeneous_modes(rates: RateTriple, L: int,
     p, q, c2 = rates.p, rates.q, rates.cos_2theta
     # the homogeneous junction makes every split L1 + L2 = L the same matrix
     matrix = build_script_matrix(homogeneous_chain(rates, 1, L - 1))
-    co = bulk_coefficients(rates)
     out = []
 
     if family == "first":
@@ -489,7 +476,7 @@ def homogeneous_modes(rates: RateTriple, L: int,
                 aux = {"x": x, "r_num": refl_num, "r_den": refl_den}
             lam = float(lam.real) if isinstance(lam, complex) else float(lam)
             out.append(_finish_mode(matrix, f"homogeneous-{family}", lam,
-                                    comp, co.t, co.t, L, aux))
+                                    comp, rates.t, rates.t, L, aux))
         except DegenerateModeError as exc:
             warnings.warn(str(exc), DegenerateModeWarning)
     return out

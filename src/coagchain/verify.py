@@ -8,6 +8,8 @@ oracle on the full configuration space, the trace identity, the dual
 vacuum-energy computation, and (at the full level) a stochastic
 simulation against the exact stationary state.  The two sum identities
 allow ``model.ROUNDING`` times the summed magnitudes of their terms.
+The block one-particle matrix is built and diagonalised once: the pairing
+and set-vs-matrix checks share its eigenvalues, the mode residuals use it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .errors import ConsistencyError
 from .generator import (assemble_generator, brute_force_spectrum,
                         generator_trace, stationary_vectors)
 from .model import ROUNDING, ChainSpec, validate_chain
-from .oneparticle import (DegenerateModeWarning, _secular_scaled, bulk_mode,
-                          edge_modes, one_particle_spectrum, pairing_residual,
+from .oneparticle import (DegenerateModeWarning, _secular_scaled,
+                          build_script_matrix, bulk_mode, edge_modes,
+                          one_particle_spectrum, pairing_residual,
                           script_matrix_negative_spectrum, trivial_zero_modes)
 from .spectrum import (assemble_full_spectrum, parity, spectral_gap,
                        vacuum_energy, vacuum_energy_closed_form)
@@ -63,11 +66,14 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
         "junction decomposition",
         verify_junction_identity(spec.seg1, spec.seg2, spec.junction), 1e-10))
 
-    results.append(_check("one-particle pairing", pairing_residual(spec), 1e-9))
+    matrix = build_script_matrix(spec)
+    eigenvalues = np.linalg.eigvals(matrix)
+    results.append(_check("one-particle pairing",
+                          pairing_residual(eigenvalues), 1e-9))
 
     spectrum = one_particle_spectrum(spec)
     try:
-        neg = script_matrix_negative_spectrum(spec)
+        neg = script_matrix_negative_spectrum(eigenvalues)
     except ConsistencyError as exc:
         results.append(CheckResult("one-particle set vs matrix", False, None,
                                    str(exc)))
@@ -100,15 +106,15 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
     n_modes = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateModeWarning)
-        for mv in trivial_zero_modes(spec):
+        for mv in trivial_zero_modes(spec, matrix):
             worst_mode = max(worst_mode, mv.residual)
             n_modes += 1
         if spec.L1 >= 2 and spec.L2 >= 2:
-            for mv in edge_modes(spec):
+            for mv in edge_modes(spec, matrix):
                 worst_mode = max(worst_mode, mv.residual)
                 n_modes += 1
             for lam in spectrum.bulk_roots:
-                mv = bulk_mode(spec, float(lam))
+                mv = bulk_mode(spec, float(lam), matrix)
                 worst_mode = max(worst_mode, mv.residual)
                 n_modes += 1
     results.append(_check("eigenvector residuals", worst_mode, 1e-9,

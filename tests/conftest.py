@@ -1,13 +1,14 @@
 """Shared fixtures: canonical chains and a random valid-chain sampler."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from coagchain import (ChainSpec, JunctionRates, RateTriple,
                        build_impurity_junction, build_quench_junction,
-                       homogeneous_chain)
+                       gillespie, homogeneous_chain)
 
 
 def make_impurity_spec(L=3, p=0.5, q=3.0, theta=0.6, s=-0.3) -> ChainSpec:
@@ -33,6 +34,25 @@ def make_benchmark_chain(family, n_sites, delta=None) -> ChainSpec:
         return make_quench_spec(n_sites // 2, delta1=d1, delta2=1.3 * d1)
     theta = 0.6 if delta is None else 0.5 * math.atan(math.sqrt(delta))
     return make_impurity_spec(n_sites // 2, theta=theta, s=1.0)
+
+
+def sampler_events(spec, occupancy):
+    """(bond, new occupancy, rate) of every transition that the simulator's
+    event tables enable in ``occupancy``.  Each rate is the operator entry
+    of a table target; the table's cumulative rates must be exactly their
+    running sums."""
+    n = spec.n_sites
+    events = []
+    for k, table in enumerate(gillespie._bond_tables(spec), start=1):
+        pair = gillespie._pair_of(occupancy, k, n)
+        targets, cum, total = table[pair]
+        column = spec.bond_operator(k).entries[:, pair]
+        rates = [float(column[t]) for t in targets]
+        assert cum == list(accumulate(rates))
+        assert total == (cum[-1] if cum else 0.0)
+        events.extend((k, gillespie._apply_pair(occupancy, k, n, t), rate)
+                      for t, rate in zip(targets, rates))
+    return events
 
 
 def random_rate_triple(rng, delta=None) -> RateTriple:

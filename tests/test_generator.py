@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from coagchain import (LatticeState, RateTriple, SizeLimitError,
-                       assemble_generator, brute_force_spectrum,
-                       build_bulk_operator, enabled_events, generator_trace,
-                       homogeneous_chain, stationary_vectors)
-from conftest import make_impurity_spec, make_quench_spec, random_chain
+from coagchain import (RateTriple, SizeLimitError, assemble_generator,
+                       brute_force_spectrum, build_bulk_operator,
+                       generator_trace, homogeneous_chain, stationary_vectors)
+from conftest import (make_impurity_spec, make_quench_spec, random_chain,
+                      sampler_events)
 
 
 class TestIndexing:
     def test_events_match_generator_columns(self, rng):
-        # the simulator's bitmask indexes the generator: the events enabled
-        # in configuration c, summed per target (a junction that creates
-        # pairs can reach one target through two bonds), are the
-        # off-diagonal entries of column c
+        # the simulator's bitmask indexes the generator: the events its
+        # tables enable in configuration c, summed per target (two bonds
+        # can reach one target), are the off-diagonal entries of column c
         for _ in range(12):
             spec = random_chain(rng, int(rng.integers(1, 4)),
                                 int(rng.integers(1, 4)))
@@ -21,9 +20,8 @@ class TestIndexing:
             gen = assemble_generator(spec).toarray()
             for c in range(2 ** n):
                 got = {}
-                for ev in enabled_events(LatticeState(c, n), spec):
-                    got[ev.new_occupancy] = got.get(ev.new_occupancy, 0.0) \
-                        + ev.rate
+                for _, target, rate in sampler_events(spec, c):
+                    got[target] = got.get(target, 0.0) + rate
                 column = gen[:, c].copy()
                 column[c] = 0.0
                 targets = np.flatnonzero(column)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from coagchain import (LatticeState, RateTriple, assemble_generator,
-                       enabled_events, homogeneous_chain, run,
-                       stationary_vectors, total_variation)
-from conftest import make_impurity_spec, make_quench_spec
+from coagchain import (LatticeState, RateTriple, assemble_generator, gillespie,
+                       homogeneous_chain, model, run, stationary_vectors,
+                       total_variation)
+from conftest import make_impurity_spec, make_quench_spec, sampler_events
 
 
 class TestEnabledEvents:
     def test_empty_lattice_absorbing_for_impurity(self):
         spec = make_impurity_spec(L=2)
-        assert enabled_events(LatticeState.empty(4), spec) == []
+        assert sampler_events(spec, LatticeState.empty(4).occupancy) == []
 
     def test_benchmark_impurity_vacuum_is_inert(self):
         # theta = 0.6, s = 1 once left rounding residue of ~1e-15 as a
@@ -19,15 +19,15 @@ class TestEnabledEvents:
         junction = spec.bond_operator(spec.L1)
         assert np.all(junction.entries[:, 0] == 0.0)
         assert junction.preserves_vacuum
-        assert enabled_events(LatticeState.empty(8), spec) == []
+        assert sampler_events(spec, LatticeState.empty(8).occupancy) == []
         result = run(spec, LatticeState.empty(8), 100, seed=1)
         assert result.absorbed and result.n_events == 0
 
     def test_quench_empty_lattice_not_absorbing(self):
         spec = make_quench_spec(L=2)
-        events = enabled_events(LatticeState.empty(4), spec)
+        events = sampler_events(spec, LatticeState.empty(4).occupancy)
         assert events
-        assert all(ev.bond == spec.L1 for ev in events)
+        assert all(bond == spec.L1 for bond, _, _ in events)
 
     def test_single_particle_mid_segment(self):
         # a lone particle can hop both ways and spawn both neighbours:
@@ -35,28 +35,28 @@ class TestEnabledEvents:
         r = RateTriple(0.5, 3.0, 1.0)
         spec = homogeneous_chain(r, 3, 3)
         state = LatticeState.from_bits([0, 0, 1, 0, 0, 0])
-        events = enabled_events(state, spec)
+        events = sampler_events(spec, state.occupancy)
         assert len(events) == 4
-        rates = sorted(ev.rate for ev in events)
+        rates = sorted(rate for _, _, rate in events)
         assert rates == sorted([r.q, r.p, r.delta * r.q, r.delta * r.p])
 
     def test_adjacent_pair_coagulation_rates(self):
         r = RateTriple(0.5, 3.0, 0.0)  # delta=0: no spawning
         spec = homogeneous_chain(r, 3, 3)
         state = LatticeState.from_bits([0, 0, 1, 1, 0, 0])
-        events = enabled_events(state, spec)
+        events = sampler_events(spec, state.occupancy)
         # left partner vanishes with rate p, right partner with rate q,
         # plus the two outward hops of the pair's outer particles
-        pair_bond = [ev for ev in events if ev.bond == 3]
-        assert sorted(ev.rate for ev in pair_bond) == [r.p, r.q]
+        pair_bond = [rate for bond, _, rate in events if bond == 3]
+        assert sorted(pair_bond) == [r.p, r.q]
 
     def test_rates_reconstruct_generator_diagonal(self, rng):
         spec = make_impurity_spec(L=3, s=0.4)
         gen = assemble_generator(spec).todense()
         for _ in range(10):
             config = int(rng.integers(0, 2 ** 6))
-            events = enabled_events(LatticeState(config, 6), spec)
-            assert sum(ev.rate for ev in events) == pytest.approx(
+            events = sampler_events(spec, config)
+            assert sum(rate for _, _, rate in events) == pytest.approx(
                 -float(gen[config, config]), rel=1e-12)
 
 
@@ -103,18 +103,17 @@ class TestRun:
         assert profile.shape == (4,)
         assert np.all(profile >= 0) and np.all(profile <= 1)
 
-    def test_replicas_merge_order_independent(self):
-        from coagchain import run_replicas
-        spec = make_quench_spec(L=2)
-        merged = run_replicas(spec, LatticeState.full(4), 5_000,
-                              seed_base=100, n_replicas=3)
-        assert sum(merged.values()) == pytest.approx(1.0)
-        # replica streams are the documented seed_base + k rule
-        singles = [run(spec, LatticeState.full(4), 5_000, seed=100 + k)
-                   for k in range(3)]
-        total = sum(r.total_time for r in singles)
-        rebuilt = {}
-        for r in singles:
-            for c, w in r.config_weights.items():
-                rebuilt[c] = rebuilt.get(c, 0.0) + w / total
-        assert merged == pytest.approx(rebuilt)
+    def test_one_table_per_distinct_operator(self, monkeypatch):
+        # the chain has three distinct bond operators, however long it is
+        spec = make_impurity_spec(L=100, s=1.0)
+        built, tables = [], []
+        for name in ("build_bulk_operator", "build_junction_operator"):
+            real_build = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *a, real=real_build:
+                                built.append(a) or real(*a))
+        real_table = gillespie._event_table
+        monkeypatch.setattr(gillespie, "_event_table",
+                            lambda m: tables.append(m) or real_table(m))
+        result = run(spec, LatticeState.full(200), 1_000, seed=2)
+        assert result.n_events == 1_000
+        assert len(built) <= 3 and len(tables) <= 3

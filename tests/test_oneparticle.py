@@ -15,6 +15,10 @@ from coagchain.verify import run_verification
 from conftest import make_impurity_spec, make_quench_spec, random_chain
 
 
+def block_eigenvalues(spec):
+    return np.linalg.eigvals(build_script_matrix(spec))
+
+
 class TestHomogeneousEnergies:
     def test_zero_mode_and_count(self):
         sp = homogeneous_energies(RateTriple(0.5, 3.0, 1.0), 6)
@@ -99,7 +103,7 @@ class TestSolveSecular:
     def test_quench_roots_match_block_matrix(self):
         spec = make_quench_spec(L=4)
         roots = solve_secular(spec)
-        neg = list(script_matrix_negative_spectrum(spec))
+        neg = list(script_matrix_negative_spectrum(block_eigenvalues(spec)))
         e1, e2 = edge_energies(spec)
         for target in (0.0, e1, e2):
             neg.pop(int(np.argmin([abs(v - target) for v in neg])))
@@ -145,13 +149,13 @@ class TestBlockMatrix:
         assert build_script_matrix(spec).shape == (16, 16)
 
     def test_plus_minus_pairing(self):
-        assert pairing_residual(make_quench_spec(L=3)) < 1e-9
+        assert pairing_residual(block_eigenvalues(make_quench_spec(L=3))) < 1e-9
 
     def test_negative_set_matches_spectrum(self, rng):
         for _ in range(10):
             spec = random_chain(rng)
             sp = one_particle_spectrum(spec)
-            neg = script_matrix_negative_spectrum(spec)
+            neg = script_matrix_negative_spectrum(block_eigenvalues(spec))
             np.testing.assert_allclose(np.sort(neg),
                                        np.sort(sp.all_values()), atol=1e-8)
 
@@ -160,7 +164,7 @@ class TestBlockMatrix:
         # non-normal block matrix has eigenvalues with imaginary part 0.23
         spec = make_impurity_spec(L=20, theta=0.6, s=1.0)
         with pytest.raises(ConsistencyError, match="complex eigenvalues"):
-            script_matrix_negative_spectrum(spec)
+            script_matrix_negative_spectrum(block_eigenvalues(spec))
 
 
 class TestOneParticleSpectrum:
@@ -181,13 +185,14 @@ class TestOneParticleSpectrum:
 class TestTrivialZeroModes:
     def test_residuals(self, quench_spec, homogeneous_spec):
         for spec in (quench_spec, homogeneous_spec):
-            modes = trivial_zero_modes(spec)
+            modes = trivial_zero_modes(spec, build_script_matrix(spec))
             assert len(modes) == 2
             for mv in modes:
                 assert mv.residual < 1e-13
 
     def test_support_is_four_components(self, impurity_spec):
-        for mv in trivial_zero_modes(impurity_spec):
+        for mv in trivial_zero_modes(impurity_spec,
+                                     build_script_matrix(impurity_spec)):
             assert np.count_nonzero(mv.flat()) == 4
 
 
@@ -200,7 +205,7 @@ class TestBulkModes:
     def test_quench_largest_root(self):
         spec = make_quench_spec(L=4)
         lam = float(solve_secular(spec)[0])
-        mv = bulk_mode(spec, lam)
+        mv = bulk_mode(spec, lam, build_script_matrix(spec))
         assert mv.residual < 1e-9
         assert np.isfinite(mv.aux["v"])
 
@@ -209,14 +214,15 @@ class TestBulkModes:
         # standing wave has a node one site past its junction end
         r = RateTriple.from_theta(0.5, 3.0, 0.35)
         spec = homogeneous_chain(r, 4, 4)
+        matrix = build_script_matrix(spec)
         for lam in solve_secular(spec):
-            mv = bulk_mode(spec, float(lam))
+            mv = bulk_mode(spec, float(lam), matrix)
             assert mv.residual < 1e-9
 
     def test_dispersion_consistency(self, quench_spec):
         # both segment dispersions reproduce the eigenvalue at the root
         lam = float(solve_secular(quench_spec)[1])
-        mv = bulk_mode(quench_spec, lam)
+        mv = bulk_mode(quench_spec, lam, build_script_matrix(quench_spec))
         for x, seg in ((mv.aux["x1"], quench_spec.seg1),
                        (mv.aux["x2"], quench_spec.seg2)):
             lam_disp = (seg.q * x + seg.p / x) / seg.cos_2theta + 2 * seg.f
@@ -224,15 +230,16 @@ class TestBulkModes:
 
 
 def matrix_dispersion_check(spec):
+    matrix = build_script_matrix(spec)
     for lam in solve_secular(spec):
-        mv = bulk_mode(spec, float(lam))
+        mv = bulk_mode(spec, float(lam), matrix)
         assert mv.residual < 1e-9
 
 
 class TestEdgeModes:
     def test_quench_energies_and_residuals(self):
         spec = make_quench_spec(L=4)
-        modes = edge_modes(spec)
+        modes = edge_modes(spec, build_script_matrix(spec))
         assert len(modes) == 4
         lams = sorted(mv.lam for mv in modes)
         np.testing.assert_allclose(lams, [-2.9, -2.7, 2.7, 2.9], atol=1e-12)
@@ -241,7 +248,7 @@ class TestEdgeModes:
 
     def test_impurity_edges_coincide(self):
         spec = make_impurity_spec(L=3, s=-0.2)
-        modes = edge_modes(spec)
+        modes = edge_modes(spec, build_script_matrix(spec))
         left = sorted(abs(mv.lam) for mv in modes if mv.kind == "left-edge")
         right = sorted(abs(mv.lam) for mv in modes if mv.kind == "right-edge")
         np.testing.assert_allclose(left, right, atol=1e-12)
@@ -252,7 +259,7 @@ class TestEdgeModes:
         r_flat = RateTriple(1.0, 1.0, 1.0)  # p=q: zero edge energy
         spec = homogeneous_chain(r_flat, 3, 3)
         with pytest.warns(DegenerateModeWarning):
-            modes = edge_modes(spec)
+            modes = edge_modes(spec, build_script_matrix(spec))
         assert modes == []
 
 
@@ -286,8 +293,9 @@ class TestHomogeneousModes:
 
 def assert_junction_modes_exact(spec):
     # every edge and bulk mode the gluing step builds is an eigenvector
-    modes = edge_modes(spec) + [bulk_mode(spec, float(lam))
-                                for lam in solve_secular(spec)]
+    matrix = build_script_matrix(spec)
+    modes = edge_modes(spec, matrix) + [bulk_mode(spec, float(lam), matrix)
+                                        for lam in solve_secular(spec)]
     assert len(modes) == 4 + spec.n_sites - 1
     worst = max(modes, key=lambda mv: mv.residual)
     assert worst.residual < 1e-9, (spec.L1, spec.L2, worst.kind, worst.lam)
@@ -313,8 +321,9 @@ class TestGluedModes:
         # x**e of the branch bases passes the float range from N = 700 here
         spec = make_impurity_spec(L=400, theta=0.6, s=1.0)
         roots = solve_secular(spec)
-        modes = edge_modes(spec) + [bulk_mode(spec, float(lam))
-                                    for lam in (roots[0], roots[-1])]
+        matrix = build_script_matrix(spec)
+        modes = edge_modes(spec, matrix) + [bulk_mode(spec, float(lam), matrix)
+                                            for lam in (roots[0], roots[-1])]
         assert len(modes) == 6
         assert max(mv.residual for mv in modes) < 1e-9
 

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from coagchain import verify
+from coagchain import oneparticle, verify
 from coagchain.spectrum import vacuum_energy
 from conftest import make_benchmark_chain
 
@@ -51,3 +53,28 @@ def test_unexpected_null_space_fails(dim, monkeypatch):
     result = verify._simulation_check(spec)
     assert not result.passed
     assert f"{dim}-dimensional null space" in result.detail
+
+
+@pytest.mark.parametrize("family", ["impurity", "quench"])
+def test_block_matrix_built_and_diagonalised_once(family, monkeypatch):
+    spec = make_benchmark_chain(family, 40)
+    builds, solves = [], []
+    real_build = oneparticle.build_script_matrix
+    real_eigvals = np.linalg.eigvals
+
+    def counted_build(spec):
+        builds.append(spec.n_sites)
+        return real_build(spec)
+
+    def counted_eigvals(a):
+        solves.append(np.shape(a))
+        return real_eigvals(a)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "coagchain"
+                and hasattr(module, "build_script_matrix")):
+            monkeypatch.setattr(module, "build_script_matrix", counted_build)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    verify.run_verification(spec)
+    assert builds == [40]
+    assert solves.count((84, 84)) == 1
