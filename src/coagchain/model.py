@@ -11,9 +11,9 @@ Q_bar)`` chosen so that the whole generator still maps onto free fermions.
 Local jump operators act on the 4-dimensional state space of one bond in
 the basis ``(++, +-, -+, --)`` where ``+`` is empty and ``-`` occupied.
 Columns index the source configuration, rows the target, so every column
-sums to zero.  A rate formed as a sum of terms is stored as exactly 0.0
-when it lies within ``ROUNDING`` of its terms' summed magnitudes; a rate
-that is a product of inputs is stored as computed.
+sums to zero.  A rate formed as a sum of float terms is stored as exactly
+0.0 when it lies within ``ROUNDING`` of its terms' summed magnitudes; a
+rate that is a product of inputs is stored as computed.
 """
 
 from __future__ import annotations
@@ -33,12 +33,16 @@ DELTA_MAX = 1e12
 
 # Relative rounding allowance of a value formed from a few float terms.
 ROUNDING = 16 * np.finfo(float).eps
+# Number types held in float arithmetic; mpmath numbers are not.
+_FLOATS = (int, float, np.generic)
 
 
 def _formed(*terms: float) -> float:
-    """Sum of ``terms`` left to right; exactly 0.0 within rounding of them."""
+    """Sum of ``terms`` left to right; a float sum within rounding is 0.0."""
     value = sum(terms)
-    return 0.0 if abs(value) <= ROUNDING * sum(map(abs, terms)) else value
+    screened = (isinstance(value, _FLOATS)
+                and abs(value) <= ROUNDING * sum(map(abs, terms)))
+    return 0.0 if screened else value
 
 
 def column_defect(m: np.ndarray) -> float:
@@ -54,6 +58,7 @@ class RateTriple:
     All trigonometric quantities are derived rationally from ``delta``
     (with one square root), never through the angle itself: ``delta``
     equals ``tan(2*theta)**2``, so ``cos(2*theta) = 1/sqrt(1+delta)``.
+    Built from mpmath numbers, every derived value but ``mu`` is one too.
     """
 
     p: float
@@ -79,12 +84,10 @@ class RateTriple:
         return cls(p, q, math.tan(2 * theta) ** 2)
 
     @property
-    def theta(self) -> float:
-        return 0.5 * math.atan(math.sqrt(self.delta))
-
-    @property
     def cos_2theta(self) -> float:
-        return 1.0 / math.sqrt(1.0 + self.delta)
+        sqrt = (math.sqrt if isinstance(self.delta, _FLOATS)
+                else self.delta.context.sqrt)  # mpmath's, at its precision
+        return 1.0 / sqrt(1.0 + self.delta)
 
     @property
     def sin_theta_sq(self) -> float:
@@ -214,16 +217,20 @@ class ChainSpec:
         return build_bulk_operator(self.seg2)
 
 
-def build_bulk_operator(rates: RateTriple) -> LocalOperator:
-    """Two-site generator of a homogeneous segment."""
+def bulk_matrix(rates: RateTriple) -> np.ndarray:
+    """The 4x4 generator of a homogeneous segment, unscreened."""
     p, q, d = rates.p, rates.q, rates.delta
-    m = np.array([
+    return np.array([
         [0.0, 0.0, 0.0, 0.0],
         [0.0, -(d + 1.0) * q, p, p],
         [0.0, q, -(d + 1.0) * p, q],
         [0.0, d * q, d * p, -p - q],
     ])
-    op = LocalOperator(m)
+
+
+def build_bulk_operator(rates: RateTriple) -> LocalOperator:
+    """Two-site generator of a homogeneous segment."""
+    op = LocalOperator(bulk_matrix(rates))
     assert op.preserves_vacuum
     return op
 

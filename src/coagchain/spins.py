@@ -2,47 +2,43 @@
 
 The local jump operators become quadratic in raising/lowering matrices
 only in a theta-dependent (non-orthogonal) representation of the Pauli
-algebra.  This module builds that representation, the decomposition
-coefficients for bulk and junction bonds, and numeric verifiers that
-reassemble the 4x4 operators from the spin expansion and return the
-largest elementwise deviation.
+algebra.  This module builds that representation from ``delta``, never
+through the angle, and the decomposition coefficients for bulk and
+junction bonds.  Two verifiers reassemble the 4x4 operators at 40 digits
+from exact mpmath copies of the rates, as terms of size ``delta**1.5``
+cancel to the entries, and return the largest deviation relative to the
+largest summed term magnitude.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import ChainValidationError
-from .model import JunctionRates, RateTriple, build_bulk_operator, junction_matrix
+from .model import JunctionRates, RateTriple, bulk_matrix, junction_matrix
 
 _I2 = np.eye(2)
 
 
 @dataclass(frozen=True)
 class SpinMatrixSet:
-    """Raising/lowering/diagonal spin matrices at a fixed rotation angle."""
+    """Raising/lowering/diagonal spin matrices of one segment's rotation."""
 
-    theta: float
     s_plus: np.ndarray
     s_minus: np.ndarray
     s_z: np.ndarray
     s_x: np.ndarray
 
 
-def spin_matrices(theta: float) -> SpinMatrixSet:
-    if not 0 <= theta < math.pi / 4:
-        raise ChainValidationError(f"theta must lie in [0, pi/4), got {theta!r}")
-    c2 = math.cos(2 * theta)
-    s_sq = math.sin(theta) ** 2
-    c_sq = math.cos(theta) ** 2
+def spin_matrices(rates: RateTriple) -> SpinMatrixSet:
+    """The rotated matrices, in the number type of ``rates``."""
+    c2 = rates.cos_2theta
+    s_sq, c_sq = rates.sin_theta_sq, rates.cos_theta_sq
     s_plus = np.array([[s_sq, -c2 / 2], [2 * s_sq ** 2 / c2, -s_sq]])
     s_minus = np.array([[c_sq, c2 / 2], [-2 * c_sq ** 2 / c2, -c_sq]])
-    s_z = c2 * np.array([[1.0, 1.0], [math.tan(2 * theta) ** 2, -1.0]])
-    s_x = s_plus + s_minus
-    return SpinMatrixSet(theta, s_plus, s_minus, s_z, s_x)
+    s_z = np.array([[c2, c2], [c2 * rates.delta, -c2]])  # delta = tan^2(2*theta)
+    return SpinMatrixSet(s_plus, s_minus, s_z, s_plus + s_minus)
 
 
 @dataclass(frozen=True)
@@ -102,54 +98,49 @@ def junction_coefficients(seg1: RateTriple, seg2: RateTriple,
         delta_c=-pb * seg1.sin_theta_sq / c21 - qb * seg2.sin_theta_sq / c22 + Qb / 2,
         eta=pb / (2 * c21),
         eta_bar=qb / (2 * c22),
-        psi=((seg1.p - seg1.q) * seg1.delta / 4
-             + (seg2.q - seg2.p) * seg2.delta / 4
-             - (Qb + pb + qb) / 2),
+        psi=seg1.t - seg2.t - (Qb + pb + qb) / 2,
         # tau terms cancel the segment boundary terms at the junction sites
         tau=seg1.t,
         tau_bar=-seg2.t,
     )
 
 
-def identity_tolerance(reference: np.ndarray) -> float:
-    """Scale-aware residual tolerance; coefficients blow up near theta=pi/4."""
-    return max(1e-12, 1e-13 * float(np.max(np.abs(reference))))
+def _relative_residual(left: SpinMatrixSet, right: SpinMatrixSet,
+                       weights, exact: np.ndarray) -> float:
+    """Relative deviation from ``exact`` of the expansion whose ``weights``
+    multiply L+R-, L-R+, L+R+, L-R-, Lz, Rz, 1, Lx and Rx, in that order."""
+    terms = [m * w for w, m in zip(weights, (  # mpf * array is slow
+        np.kron(left.s_plus, right.s_minus), np.kron(left.s_minus, right.s_plus),
+        np.kron(left.s_plus, right.s_plus), np.kron(left.s_minus, right.s_minus),
+        np.kron(left.s_z, _I2), np.kron(_I2, right.s_z), np.eye(4),
+        np.kron(left.s_x, _I2), np.kron(_I2, right.s_x)))]
+    scale = np.max(sum(np.abs(t) for t in terms))
+    return float(np.max(np.abs(sum(terms) - exact)) / (scale or 1))
 
 
 def verify_bulk_identity(rates: RateTriple) -> float:
-    """Max |reassembled - exact| over the 16 entries of the bulk operator."""
-    co = bulk_coefficients(rates)
-    s = spin_matrices(rates.theta)
-    quadratic = (co.a * np.kron(s.s_plus, s.s_minus)
-                 + co.b * np.kron(s.s_minus, s.s_plus)
-                 + co.c * np.kron(s.s_plus, s.s_plus)
-                 + co.d * np.kron(s.s_minus, s.s_minus)
-                 + co.h * np.kron(s.s_z, _I2)
-                 + co.h_bar * np.kron(_I2, s.s_z)
-                 + co.f * np.eye(4))
-    rebuilt = quadratic + co.t * (np.kron(s.s_x, _I2) - np.kron(_I2, s.s_x))
-    exact = build_bulk_operator(rates).entries
-    return float(np.max(np.abs(rebuilt - exact)))
+    """Relative residual of the bulk operator's expansion, at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        rates = RateTriple(*map(mpmath.mpf, astuple(rates)))
+        co = bulk_coefficients(rates)
+        s = spin_matrices(rates)
+        return _relative_residual(
+            s, s, (co.a, co.b, co.c, co.d, co.h, co.h_bar, co.f, co.t, -co.t),
+            bulk_matrix(rates))
 
 
 def verify_junction_identity(seg1: RateTriple, seg2: RateTriple,
                              junction: JunctionRates) -> float:
-    """Max |reassembled - exact| for the junction operator.
-
-    The expansion mixes the two representations: segment-1 matrices act on
-    the left factor, segment-2 matrices on the right.
-    """
-    co = junction_coefficients(seg1, seg2, junction)
-    s1 = spin_matrices(seg1.theta)
-    s2 = spin_matrices(seg2.theta)
-    rebuilt = (co.alpha * np.kron(s1.s_plus, s2.s_minus)
-               + co.beta * np.kron(s1.s_minus, s2.s_plus)
-               + co.gamma * np.kron(s1.s_plus, s2.s_plus)
-               + co.delta_c * np.kron(s1.s_minus, s2.s_minus)
-               + co.eta * np.kron(s1.s_z, _I2)
-               + co.eta_bar * np.kron(_I2, s2.s_z)
-               + co.psi * np.eye(4)
-               + co.tau * np.kron(s1.s_x, _I2)
-               + co.tau_bar * np.kron(_I2, s2.s_x))
-    exact = junction_matrix(seg1, seg2, junction)
-    return float(np.max(np.abs(rebuilt - exact)))
+    """Relative residual of the junction operator's expansion, at 40 digits;
+    segment-1 matrices act on the left site, segment-2 ones on the right."""
+    import mpmath
+    with mpmath.workdps(40):
+        seg1, seg2 = (RateTriple(*map(mpmath.mpf, astuple(r))) for r in (seg1, seg2))
+        junction = JunctionRates(*map(mpmath.mpf, astuple(junction)))
+        co = junction_coefficients(seg1, seg2, junction)
+        return _relative_residual(
+            spin_matrices(seg1), spin_matrices(seg2),
+            (co.alpha, co.beta, co.gamma, co.delta_c, co.eta, co.eta_bar,
+             co.psi, co.tau, co.tau_bar),
+            junction_matrix(seg1, seg2, junction))

@@ -7,7 +7,8 @@ between consecutive roots, eigenvector-ansatz residuals, the brute-force
 oracle on the full configuration space, the trace identity, the dual
 vacuum-energy computation, and (at the full level) a stochastic
 simulation against the exact stationary state.  The two sum identities
-allow ``model.ROUNDING`` times the summed magnitudes of their terms.
+allow ``model.ROUNDING`` times the summed magnitudes of their terms, the
+two decomposition identities (at 40 digits) 1e-30 times.
 The block one-particle matrix is built and diagonalised once: the pairing
 and set-vs-matrix checks share its eigenvalues, the mode residuals use it.
 """
@@ -61,10 +62,11 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
     results.append(_check(
         "bulk decomposition",
         max(verify_bulk_identity(spec.seg1), verify_bulk_identity(spec.seg2)),
-        1e-10))
+        1e-30, "relative, tolerance 1e-30"))
     results.append(_check(
         "junction decomposition",
-        verify_junction_identity(spec.seg1, spec.seg2, spec.junction), 1e-10))
+        verify_junction_identity(spec.seg1, spec.seg2, spec.junction),
+        1e-30, "relative, tolerance 1e-30"))
 
     matrix = build_script_matrix(spec)
     eigenvalues = np.linalg.eigvals(matrix)

@@ -24,7 +24,7 @@ class TestRateTriple:
     def test_derived_quantities(self):
         r = RateTriple(0.5, 3.0, 1.0)
         assert r.cos_2theta * math.sqrt(1 + r.delta) == pytest.approx(1.0, abs=1e-15)
-        assert 0 <= r.theta < math.pi / 4
+        assert r.cos_2theta == pytest.approx(math.cos(math.pi / 4), rel=1e-14)
         assert r.f == pytest.approx(-(0.5 + 3.0) * 3.0 / 4)
         assert r.mu == pytest.approx(math.sqrt(0.5 * 3.0 * 2.0))
         assert r.Q == pytest.approx(1.0 * (3.0 - 0.5) / 2)
@@ -33,7 +33,7 @@ class TestRateTriple:
     def test_from_theta_round_trip(self):
         r = RateTriple.from_theta(1.0, 2.0, 0.3)
         assert r.delta == pytest.approx(math.tan(0.6) ** 2, rel=1e-14)
-        assert r.theta == pytest.approx(0.3, abs=1e-12)
+        assert r.cos_2theta == pytest.approx(math.cos(0.6), rel=1e-14)
 
     @pytest.mark.parametrize("bad", [
         dict(p=-0.1, q=1.0, delta=0.0),

@@ -1,11 +1,17 @@
+import dataclasses
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coagchain import oneparticle, verify
+import coagchain
+from coagchain import RateTriple, homogeneous_chain, oneparticle, spins, verify
 from coagchain.spectrum import vacuum_energy
-from conftest import make_benchmark_chain
+from conftest import (make_benchmark_chain, make_impurity_spec,
+                      make_quench_spec)
 
 
 def verdicts(spec, level="quick"):
@@ -78,3 +84,54 @@ def test_block_matrix_built_and_diagonalised_once(family, monkeypatch):
     verify.run_verification(spec)
     assert builds == [40]
     assert solves.count((84, 84)) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    make_impurity_spec(2, theta=0.78, s=1.0),
+    make_quench_spec(2, delta1=1e6, delta2=1.3e6),
+    make_quench_spec(2, delta1=1e9, delta2=1.3e9),
+    homogeneous_chain(RateTriple(0.5, 3.0, 1e12), 2, 2),
+], ids=["impurity-delta8.6e3", "quench-delta1e6", "quench-delta1e9",
+        "bulk-delta1e12"])
+def test_decompositions_pass_at_large_delta(spec):
+    # the expansion terms grow like delta**1.5 and cancel to the operator
+    # entries: only the 40-digit reassembly resolves them
+    found = verdicts(spec)
+    assert found["bulk decomposition"]
+    assert found["junction decomposition"]
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e9])
+@pytest.mark.parametrize("check, builder, field", [
+    ("junction decomposition", "junction_coefficients", "psi"),
+    ("junction decomposition", "junction_coefficients", "alpha"),
+    ("junction decomposition", "junction_coefficients", "tau"),
+    ("bulk decomposition", "bulk_coefficients", "a"),
+    ("bulk decomposition", "bulk_coefficients", "t"),
+])
+def test_decompositions_catch_a_scaled_coefficient(check, builder, field,
+                                                   delta, monkeypatch):
+    spec = make_quench_spec(2, delta1=delta, delta2=1.3 * delta)
+    assert verdicts(spec)[check]
+    real = getattr(spins, builder)
+
+    def scaled(*rates):
+        co = real(*rates)
+        return dataclasses.replace(
+            co, **{field: getattr(co, field) * (1 + 1e-12)})
+
+    monkeypatch.setattr(spins, builder, scaled)
+    assert not verdicts(spec)[check]
+
+
+def test_mpmath_loaded_only_by_the_decomposition_checks():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(coagchain.__file__).parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coagchain; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "False"
+    verify.run_verification(make_benchmark_chain("quench", 4), "quick")
+    import mpmath
+    assert mpmath.mp.dps == 15
