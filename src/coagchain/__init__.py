@@ -20,7 +20,7 @@ from .spins import (BulkCoefficients, JunctionCoefficients, SpinMatrixSet,
                     bulk_coefficients, junction_coefficients, spin_matrices,
                     verify_bulk_identity, verify_junction_identity)
 from .generator import (assemble_generator, brute_force_spectrum,
-                        generator_trace, stationary_vectors)
+                        stationary_vectors)
 from .chebyshev import ScaledValue, chebyshev_u_pair_scaled
 from .oneparticle import (ModeVector, OneParticleSpectrum, build_script_matrix,
                           bulk_mode, edge_energies, edge_modes,

@@ -90,10 +90,8 @@ _Positive = _checked("a number > 0", lambda v: v > 0)
 
 def cmd_spectrum(args) -> int:
     _check_writable(args.out, ["spectrum.json"]
-                    + ["one_particle.csv"] * args.one_particle
-                    + ["brute_force.csv"] * args.brute_force)
-    report = spectrum_report(load_chain(args.spec), include_full=args.full,
-                             brute_force=args.brute_force)
+                    + ["one_particle.csv"] * args.one_particle)
+    report = spectrum_report(load_chain(args.spec), include_full=args.full)
     _write(json.dumps(report.to_dict(), indent=2, sort_keys=True,
                       default=float) + "\n", args.out, "spectrum.json")
     if args.one_particle:
@@ -105,10 +103,6 @@ def cmd_spectrum(args) -> int:
                  for lab, lam in zip(labels, values)]
         _write(_csv(["label", "lambda", "route"], rows), args.out,
                "one_particle.csv")
-    if args.brute_force:
-        rows = [{"re": float(v.real), "im": float(v.imag)}
-                for v in report.brute_force]
-        _write(_csv(["re", "im"], rows), args.out, "brute_force.csv")
     return EXIT_OK
 
 
@@ -211,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also emit the labeled one-particle energies as CSV")
     p.add_argument("--full", action="store_true",
                    help="include all 2^N assembled eigenvalues (N <= 20)")
-    p.add_argument("--brute-force", action="store_true",
-                   help="also diagonalize the full generator and compare")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gap-impurity",

@@ -1,68 +1,55 @@
 """Full configuration-space generator and brute-force spectral oracle.
 
 Configuration indices follow ``gillespie.LatticeState``: site 1 is the
-most significant bit and bit 1 means "occupied".  The generator is the
-sum over bonds of identity-padded local operators; it is kept sparse so
-that moderate N stay cheap, while dense eigendecompositions are guarded
-to dimension 4096.
+most significant bit and bit 1 means "occupied".  The generator is one
+dense float array, guarded to dimension 4096 (N <= 12).  Seen as an array
+of shape ``(a, 4, b, a, 4, b)`` with a = 2^(k-1) and b = 2^(N-k-1), bond k
+acts on the two middle axes and leaves the outer ones fixed, so its 4x4
+operator is added on the diagonal view ``[i, x, j, i, y, j]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import SizeLimitError
 from .model import ChainSpec
 
-MAX_ASSEMBLY_SITES = 24
 MAX_DENSE_DIM = 4096
 _NULL_RCOND = 1e-9  # relative singular-value cut for the null space
 
 
-def assemble_generator(spec: ChainSpec) -> scipy.sparse.csr_matrix:
-    """Sparse 2^N generator of the full chain."""
+def assemble_generator(spec: ChainSpec) -> np.ndarray:
+    """Dense 2^N generator of the full chain."""
     n = spec.n_sites
-    if n > MAX_ASSEMBLY_SITES:
-        raise SizeLimitError(
-            f"N={n} sites exceeds the assembly guard ({MAX_ASSEMBLY_SITES})")
     dim = 2 ** n
-    total = scipy.sparse.csr_matrix((dim, dim))
-    for k in range(1, n):
-        op = scipy.sparse.csr_matrix(spec.bond_operator(k).entries)
-        left = scipy.sparse.identity(2 ** (k - 1), format="csr")
-        right = scipy.sparse.identity(2 ** (n - k - 1), format="csr")
-        total = total + scipy.sparse.kron(scipy.sparse.kron(left, op), right,
-                                          format="csr")
-    return total
-
-
-def brute_force_spectrum(gen: scipy.sparse.spmatrix) -> np.ndarray:
-    """All eigenvalues of the dense generator, sorted by real part (desc)."""
-    dim = gen.shape[0]
     if dim > MAX_DENSE_DIM:
         raise SizeLimitError(
-            f"dimension {dim} exceeds the dense eigensolver guard "
+            f"dimension {dim} exceeds the dense generator guard "
             f"({MAX_DENSE_DIM})")
-    ev = scipy.linalg.eigvals(np.asarray(gen.todense()))
+    gen = np.zeros((dim, dim))
+    for k in range(1, n):
+        a, b = 2 ** (k - 1), 2 ** (n - k - 1)
+        bond = np.einsum("iajibj->iabj", gen.reshape(a, 4, b, a, 4, b))
+        bond += spec.bond_operator(k).entries[:, :, None]
+    return gen
+
+
+def brute_force_spectrum(gen: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the generator, sorted by real part (desc)."""
+    ev = scipy.linalg.eigvals(gen)
     order = np.lexsort((ev.imag, -ev.real))
     return ev[order]
 
 
-def stationary_vectors(gen: scipy.sparse.spmatrix) -> list[np.ndarray]:
+def stationary_vectors(gen: np.ndarray) -> list[np.ndarray]:
     """Basis of the right null space (the stationary states).
 
     Vectors that are entrywise nonnegative up to sign are rescaled to
     probability vectors; the rest are returned with unit norm.
     """
-    dim = gen.shape[0]
-    if dim > MAX_DENSE_DIM:
-        raise SizeLimitError(
-            f"dimension {dim} exceeds the dense null-space guard "
-            f"({MAX_DENSE_DIM})")
-    basis = scipy.linalg.null_space(np.asarray(gen.todense()),
-                                    rcond=_NULL_RCOND)
+    basis = scipy.linalg.null_space(gen, rcond=_NULL_RCOND)
     out = []
     for k in range(basis.shape[1]):
         v = basis[:, k]
@@ -73,7 +60,3 @@ def stationary_vectors(gen: scipy.sparse.spmatrix) -> list[np.ndarray]:
             v = v / v.sum()
         out.append(v)
     return out
-
-
-def generator_trace(gen: scipy.sparse.spmatrix) -> float:
-    return float(gen.diagonal().sum())

@@ -1,4 +1,5 @@
-"""End-to-end spectrum reports for one chain."""
+"""End-to-end spectrum reports for one chain, from the one-particle
+formulas alone; ``verify`` compares them with the dense generator."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import assemble_generator, brute_force_spectrum
 from .model import ChainSpec, validate_chain
 from .errors import ChainValidationError
 from .oneparticle import OneParticleSpectrum, one_particle_spectrum
@@ -24,7 +24,6 @@ class SpectrumReport:
     one_particle: OneParticleSpectrum
     full_spectrum: np.ndarray | None = None
     checks: dict = field(default_factory=dict)
-    brute_force: np.ndarray | None = None  # dense 2^N eigenvalues, desc
 
     def to_dict(self) -> dict:
         values, labels = self.one_particle.excitations()
@@ -45,8 +44,8 @@ class SpectrumReport:
         return doc
 
 
-def spectrum_report(spec: ChainSpec, include_full: bool = False,
-                    brute_force: bool = False) -> SpectrumReport:
+def spectrum_report(spec: ChainSpec,
+                    include_full: bool = False) -> SpectrumReport:
     """Vacuum energy, parity, gap, and consistency checks for one chain."""
     validation = validate_chain(spec)
     if not validation.ok:
@@ -60,14 +59,7 @@ def spectrum_report(spec: ChainSpec, include_full: bool = False,
         "max_root": float(np.max(spectrum.bulk_roots))
         if len(spectrum.bulk_roots) else 0.0,
     }
-    full = bf = None
-    if include_full or brute_force:
-        full = assemble_full_spectrum(spectrum, omega, par, spec.n_sites)
-    if brute_force:
-        bf = brute_force_spectrum(assemble_generator(spec))
-        checks["brute_force_max_imag"] = float(np.max(np.abs(bf.imag)))
-        diff = np.max(np.abs(np.sort(bf.real) - np.sort(full)))
-        checks["multiset_max_diff"] = float(diff)
-        checks["multisets_match"] = bool(diff < 1e-8)
+    full = (assemble_full_spectrum(spectrum, omega, par, spec.n_sites)
+            if include_full else None)
     return SpectrumReport(spec, omega, par, gap.gap, gap.labels, spectrum,
-                          full if include_full else None, checks, bf)
+                          full, checks)

@@ -9,8 +9,10 @@ vacuum-energy computation, and (at the full level) a stochastic
 simulation against the exact stationary state.  The two sum identities
 allow ``model.ROUNDING`` times the summed magnitudes of their terms, the
 two decomposition identities (at 40 digits) 1e-30 times.
-The block one-particle matrix is built and diagonalised once: the pairing
-and set-vs-matrix checks share its eigenvalues, the mode residuals use it.
+The block one-particle matrix and the dense 2^N generator are each built
+once: the pairing and set-vs-matrix checks share the matrix's eigenvalues
+and the mode residuals use it; the trace identity, the brute-force oracle
+(the package's one dense verdict) and the simulator's target use G.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import gillespie
 from .errors import ConsistencyError
-from .generator import (assemble_generator, brute_force_spectrum,
-                        generator_trace, stationary_vectors)
+from .generator import (MAX_DENSE_DIM, assemble_generator,
+                        brute_force_spectrum, stationary_vectors)
 from .model import ROUNDING, ChainSpec, validate_chain
 from .oneparticle import (DegenerateModeWarning, _secular_scaled,
                           build_script_matrix, bulk_mode, edge_modes,
@@ -104,36 +106,32 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
                                    str(exc)))
 
     # ansatz residuals at desk scale
-    worst_mode = 0.0
-    n_modes = 0
+    ansatz_runs = spec.L1 >= 2 and spec.L2 >= 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateModeWarning)
-        for mv in trivial_zero_modes(spec, matrix):
-            worst_mode = max(worst_mode, mv.residual)
-            n_modes += 1
-        if spec.L1 >= 2 and spec.L2 >= 2:
-            for mv in edge_modes(spec, matrix):
-                worst_mode = max(worst_mode, mv.residual)
-                n_modes += 1
-            for lam in spectrum.bulk_roots:
-                mv = bulk_mode(spec, float(lam), matrix)
-                worst_mode = max(worst_mode, mv.residual)
-                n_modes += 1
-    results.append(_check("eigenvector residuals", worst_mode, 1e-9,
-                          detail=f"{n_modes} modes"))
+        modes = trivial_zero_modes(spec, matrix)
+        if ansatz_runs:
+            modes += edge_modes(spec, matrix)
+            modes += [bulk_mode(spec, float(lam), matrix)
+                      for lam in spectrum.bulk_roots]
+    detail = f"{len(modes)} modes"
+    if not ansatz_runs:
+        detail += "; edge and bulk ansatz modes not run (need L1, L2 >= 2)"
+    results.append(_check("eigenvector residuals",
+                          max(mv.residual for mv in modes), 1e-9, detail))
 
     par = parity(spec)
     gap = spectral_gap(spectrum, omega, par)
 
     dim = 2 ** spec.n_sites
-    if spec.n_sites <= 12 and (level == "full" or dim <= 512):
+    if dim <= MAX_DENSE_DIM and (level == "full" or dim <= 512):
         gen = assemble_generator(spec)
         assembled = assemble_full_spectrum(spectrum, omega, par, spec.n_sites)
-        scale = (float(np.sum(np.abs(gen.diagonal())))
+        scale = (float(np.sum(np.abs(np.diag(gen))))
                  + float(np.sum(np.abs(assembled))))
         results.append(_check(
             "trace identity",
-            abs(generator_trace(gen) - float(np.sum(assembled))) / scale,
+            abs(float(np.trace(gen)) - float(np.sum(assembled))) / scale,
             ROUNDING, detail=f"relative, tolerance {ROUNDING:g}"))
         bf = brute_force_spectrum(gen)
         results.append(_check("brute-force spectrum real",
@@ -151,13 +149,14 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
             "oracle multiset equivalence", True, None,
             f"skipped: N={spec.n_sites} too large for the dense oracle"))
 
-    if level == "full" and spec.n_sites <= 10:
-        results.append(_simulation_check(spec))
+    if level == "full" and spec.n_sites <= 10:  # the oracle block ran
+        results.append(_simulation_check(spec, gen))
     return results
 
 
-def _simulation_check(spec: ChainSpec) -> CheckResult:
-    """Simulated long-run occupation vs the exact stationary distribution.
+def _simulation_check(spec: ChainSpec, gen: np.ndarray) -> CheckResult:
+    """Simulated long-run occupation vs the stationary distribution of
+    ``gen``, the chain's dense generator.
 
     Runs from the fully occupied lattice.  A junction that creates no
     particles from an empty pair leaves the empty lattice absorbing, so the
@@ -165,7 +164,7 @@ def _simulation_check(spec: ChainSpec) -> CheckResult:
     empty-lattice weight; otherwise the null space is one vector, the
     target.  Either way the target is normalised by its sum.
     """
-    basis = stationary_vectors(assemble_generator(spec))
+    basis = stationary_vectors(gen)
     absorbing = spec.bond_operator(spec.L1).preserves_vacuum
     if len(basis) != (2 if absorbing else 1):
         return CheckResult("simulator stationarity", False, None,

@@ -55,6 +55,18 @@ def sampler_events(spec, occupancy):
     return events
 
 
+def kron_generator(ops):
+    """Dense reference generator: the sum over bonds k of
+    I(2^(k-1)) x ops[k-1] x I(2^(N-k-1)), formed with ``np.kron`` in the
+    number type of the 4x4 bond matrices ``ops`` (object arrays too)."""
+    n = len(ops) + 1
+    total = np.zeros((2 ** n, 2 ** n), dtype=np.result_type(*ops))
+    for k, op in enumerate(ops, start=1):
+        total = total + np.kron(np.kron(np.eye(2 ** (k - 1)), op),
+                                np.eye(2 ** (n - k - 1)))
+    return total
+
+
 def random_rate_triple(rng, delta=None) -> RateTriple:
     p, q = rng.uniform(0.2, 3.0, 2)
     if delta is None:

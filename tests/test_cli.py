@@ -1,10 +1,9 @@
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from coagchain import generator, save_chain
+from coagchain import save_chain
 from coagchain.cli import main
 from coagchain.sweeps import impurity_gap_sweep, quench_gap_sweep
 from conftest import make_impurity_spec, make_quench_spec
@@ -36,35 +35,12 @@ class TestSpectrumCommand:
     def test_one_particle_csv_and_brute_force(self, quench_file, tmp_path):
         prefix = str(tmp_path / "out_")
         assert main(["spectrum", "--spec", quench_file, "--one-particle",
-                     "--brute-force", "--full", "--out", prefix]) == 0
+                     "--full", "--out", prefix]) == 0
         report = json.loads((tmp_path / "out_spectrum.json").read_text())
-        assert report["checks"]["multisets_match"] is True
         assert len(report["full_spectrum"]) == 64
         csv_lines = (tmp_path / "out_one_particle.csv").read_text().splitlines()
         assert csv_lines[0] == "label,lambda,route"
         assert len(csv_lines) == 1 + 6 + 2  # header + zero + edges + bulks
-        bf_lines = (tmp_path / "out_brute_force.csv").read_text().splitlines()
-        assert len(bf_lines) == 1 + 64
-
-    def test_brute_force_diagonalises_once(self, quench_file, tmp_path,
-                                           monkeypatch):
-        calls = []
-        real = generator.brute_force_spectrum
-
-        def counted(gen):
-            calls.append(gen.shape)
-            return real(gen)
-
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "coagchain"
-                    and hasattr(module, "brute_force_spectrum")):
-                monkeypatch.setattr(module, "brute_force_spectrum", counted)
-        prefix = str(tmp_path / "out_")
-        assert main(["spectrum", "--spec", quench_file, "--brute-force",
-                     "--out", prefix]) == 0
-        assert calls == [(64, 64)]
-        bf_lines = (tmp_path / "out_brute_force.csv").read_text().splitlines()
-        assert len(bf_lines) == 1 + 64
 
     def test_full_size_guard_exit_code(self, tmp_path):
         from coagchain import RateTriple, homogeneous_chain
@@ -171,6 +147,7 @@ class TestUsageErrors:
         ("verify", "--seed", "3"),
         ("verify", "--length", "3"),
         ("simulate", "--length", "3"),
+        ("spectrum", "--brute-force", "--full"),  # a flag: no value
     ])
     def test_removed_option(self, command, option, value, impurity_file,
                             capsys):
@@ -179,7 +156,7 @@ class TestUsageErrors:
             else [command, "--spec", impurity_file, option, value]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert option in captured.err
+        assert f"unrecognized arguments: {option}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -221,7 +198,7 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv, work", [
-        (["spectrum", "--brute-force"], "report.brute_force_spectrum"),
+        (["spectrum"], "cli.spectrum_report"),
         (["gap-impurity", "--points", "2"], "cli.impurity_gap_sweep"),
         (["gap-quench", "--points", "2"], "cli.quench_gap_sweep"),
         (["simulate", "--events", "10"], "cli.run_simulation"),

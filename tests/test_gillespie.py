@@ -52,7 +52,7 @@ class TestEnabledEvents:
 
     def test_rates_reconstruct_generator_diagonal(self, rng):
         spec = make_impurity_spec(L=3, s=0.4)
-        gen = assemble_generator(spec).todense()
+        gen = assemble_generator(spec)
         for _ in range(10):
             config = int(rng.integers(0, 2 ** 6))
             events = sampler_events(spec, config)

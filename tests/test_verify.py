@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import coagchain
-from coagchain import RateTriple, homogeneous_chain, oneparticle, spins, verify
+from coagchain import (ChainSpec, RateTriple, assemble_generator,
+                       build_quench_junction, homogeneous_chain, oneparticle,
+                       spins, verify)
 from coagchain.spectrum import vacuum_energy
 from conftest import (make_benchmark_chain, make_impurity_spec,
                       make_quench_spec)
@@ -42,7 +44,7 @@ def test_simulation_target(family, absorbing, monkeypatch):
         return real(hist, target)
 
     monkeypatch.setattr(verify.gillespie, "total_variation", recorded)
-    result = verify._simulation_check(spec)
+    result = verify._simulation_check(spec, assemble_generator(spec))
     assert result.passed, result.detail
     (target,) = targets
     assert target.sum() == pytest.approx(1.0, abs=1e-12)
@@ -56,7 +58,7 @@ def test_unexpected_null_space_fails(dim, monkeypatch):
     spec = make_benchmark_chain("impurity", 4)  # absorbing: dimension 2
     monkeypatch.setattr(verify, "stationary_vectors",
                         lambda gen: [np.full(16, 1 / 16)] * dim)
-    result = verify._simulation_check(spec)
+    result = verify._simulation_check(spec, assemble_generator(spec))
     assert not result.passed
     assert f"{dim}-dimensional null space" in result.detail
 
@@ -84,6 +86,37 @@ def test_block_matrix_built_and_diagonalised_once(family, monkeypatch):
     verify.run_verification(spec)
     assert builds == [40]
     assert solves.count((84, 84)) == 1
+
+
+@pytest.mark.parametrize("family", ["impurity", "quench"])
+def test_generator_assembled_once(family, monkeypatch):
+    # the oracle and the simulator's stationary target share one matrix;
+    # the count does not depend on the simulator's event budget
+    spec = make_benchmark_chain(family, 8)
+    sizes = []
+
+    def counted(spec):
+        sizes.append(spec.n_sites)
+        return assemble_generator(spec)
+
+    monkeypatch.setattr(verify, "assemble_generator", counted)
+    monkeypatch.setattr(verify, "_SIM_EVENTS", 1_000)
+    names = [r.name for r in verify.run_verification(spec, "full")]
+    assert "simulator stationarity" in names
+    assert sizes == [8]
+
+
+@pytest.mark.parametrize("L1, L2", [(1, 5), (5, 1), (3, 3)])
+def test_residual_detail_names_ansatz_modes_not_run(L1, L2):
+    seg1, seg2 = RateTriple(0.6, 6.0, 1.0), RateTriple(6.0, 0.2, 1.3)
+    junction, _ = build_quench_junction(seg1, seg2)
+    spec = ChainSpec(L1, L2, seg1, seg2, junction, junction_kind="quench")
+    (result,) = [r for r in verify.run_verification(spec, "quick")
+                 if r.name == "eigenvector residuals"]
+    assert result.passed
+    assert not result.detail.startswith("skipped")
+    not_run = "edge and bulk ansatz modes not run" in result.detail
+    assert not_run == (min(L1, L2) == 1), result.detail
 
 
 @pytest.mark.parametrize("spec", [
