@@ -8,8 +8,8 @@ closed-form boundary energies, and cross-checks everything against dense
 diagonalization of the 2^N generator and direct stochastic simulation.
 """
 
-from .errors import (AnalyticPathError, ChainValidationError,
-                     ConsistencyError, DegenerateModeError, SizeLimitError)
+from .errors import (ChainValidationError, ConsistencyError,
+                     DegenerateModeError, SizeLimitError)
 from .model import (ChainSpec, ChainValidation, JunctionRates, LocalOperator,
                     RateTriple, build_bulk_operator, build_impurity_junction,
                     build_junction_operator, build_quench_junction,

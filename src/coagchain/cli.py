@@ -2,12 +2,13 @@
 
 Subcommands: ``spectrum``, ``gap-impurity``, ``gap-quench``, ``verify``,
 ``simulate``; each declares only the options it reads.  Exit codes: 0
-success (``--help`` too), 1 validation failure, which includes every usage
-error (such as an unknown option, a count like ``--points`` that is not a
-whole number >= 1, or an ``--out`` path that cannot be written), 2
-internal consistency failure, 3 size guard.  All numeric output uses 12
-significant digits so runs are byte-for-byte reproducible and tolerances
-are auditable.
+success (``--help`` too); 1 validation failure: a chain that breaks the
+rate bounds, the only gate (p*q = 0 chains get their spectrum too), or a
+usage error (an unknown option, a count like ``--points`` that is not a
+whole number >= 1, an ``--out`` path that cannot be written); 2 internal
+consistency failure, a failed ``verify`` check included; 3 size guard.
+All numeric output uses 12 significant digits so runs are byte-for-byte
+reproducible and tolerances are auditable.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .errors import (AnalyticPathError, ChainValidationError,
-                     ConsistencyError, DegenerateModeError, SizeLimitError)
+from .errors import (ChainValidationError, ConsistencyError,
+                     DegenerateModeError, SizeLimitError)
 from .gillespie import (_HISTOGRAM_MAX_SITES, LatticeState,
                         run as run_simulation)
 from .model import RateTriple, load_chain
@@ -155,9 +156,7 @@ def cmd_verify(args) -> int:
         print("all checks that ran passed; not run: " + ", ".join(not_run)
               if not_run else "all checks passed")
         return EXIT_OK
-    if not results[0].passed:
-        return EXIT_VALIDATION
-    return EXIT_CONSISTENCY
+    return EXIT_CONSISTENCY if results[0].passed else EXIT_VALIDATION
 
 
 def cmd_simulate(args) -> int:
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ChainValidationError, AnalyticPathError) as exc:
+    except ChainValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConsistencyError, DegenerateModeError) as exc:

@@ -3,9 +3,10 @@
 The CLI maps these onto process exit codes:
 
 * 1 (validation failure): ``ChainValidationError``, which also covers an
-  unreadable or malformed chain file, and ``AnalyticPathError``, which
-  means p*q = 0 in a segment, where the free-fermion route does not apply,
-  and every command-line usage error, which argparse reports itself;
+  unreadable or malformed chain file and a route that divides by p, q or
+  mu (the Chebyshev form, the eigenvector ansatze) called on a chain with
+  p*q = 0 in a segment, and every command-line usage error, which
+  argparse reports itself;
 * 2 (internal consistency failure): ``ConsistencyError``, which includes
   complex eigenvalues of the dense block matrix, and
   ``DegenerateModeError``;
@@ -23,10 +24,6 @@ class SizeLimitError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree."""
-
-
-class AnalyticPathError(RuntimeError):
-    """p*q = 0 in a segment: the closed-form/secular route does not apply."""
 
 
 class DegenerateModeError(RuntimeError):

@@ -32,8 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .chebyshev import ScaledValue, chebyshev_u_pair_scaled
-from .errors import (AnalyticPathError, ChainValidationError,
-                     ConsistencyError, DegenerateModeError)
+from .errors import ChainValidationError, ConsistencyError, DegenerateModeError
 from .model import ChainSpec, RateTriple, homogeneous_chain
 from .spins import bulk_coefficients, junction_coefficients
 
@@ -82,10 +81,6 @@ def homogeneous_energies(rates: RateTriple, L: int) -> OneParticleSpectrum:
     """Closed-form one-particle energies of a homogeneous chain of L sites."""
     if L < 2:
         raise ChainValidationError(f"need at least 2 sites, got L={L}")
-    if rates.p <= 0 or rates.q <= 0:
-        raise AnalyticPathError(
-            "closed-form energies need p, q > 0; diagonalize the full "
-            "generator instead")
     k = np.arange(1, L)
     roots = 2 * rates.mu * np.cos(np.pi * k / L) + 2 * rates.f
     edge = -abs(rates.Q)
@@ -96,16 +91,18 @@ def homogeneous_energies(rates: RateTriple, L: int) -> OneParticleSpectrum:
 # Secular equation
 # ---------------------------------------------------------------------------
 
-def _require_hopping(spec: ChainSpec) -> None:
-    if min(spec.seg1.p * spec.seg1.q, spec.seg2.p * spec.seg2.q) <= 0:
-        raise AnalyticPathError(
-            "secular equation needs p, q > 0 in both segments")
+def _require_hopping(*segments: RateTriple) -> None:
+    """p*q > 0 in every segment, for the two routes that divide by p, q or
+    mu: the Chebyshev form and the eigenvector ansatze."""
+    if min(r.p * r.q for r in segments) <= 0:
+        raise ChainValidationError("the Chebyshev form and the eigenvector "
+                                   "ansatze need p*q > 0 in every segment")
 
 
 def _secular_scaled(spec: ChainSpec, lam):
     """Mantissa and exponent of the secular function at a float lam, or
     mantissas and exponents on an array of them."""
-    _require_hopping(spec)
+    _require_hopping(spec.seg1, spec.seg2)
     s1, s2, j = spec.seg1, spec.seg2, spec.junction
     x1 = (lam - 2 * s1.f) / (2 * s1.mu)
     x2 = (lam - 2 * s2.f) / (2 * s2.mu)
@@ -132,9 +129,9 @@ def solve_secular(spec: ChainSpec) -> np.ndarray:
     determinant; bordering the two blocks with the junction entry
     -(Q_bar + p_bar + q_bar) and the couplings c1, c2 reproduces the
     mantissa of ``_secular_scaled`` because c1^2 = mu1^2 * p_bar / p1 and
-    c2^2 = mu2^2 * q_bar / q2.
+    c2^2 = mu2^2 * q_bar / q2.  At p*q = 0 a segment's couplings vanish
+    and its roots are 2f.
     """
-    _require_hopping(spec)
     s1, s2, j = spec.seg1, spec.seg2, spec.junction
     diag = np.concatenate((np.full(spec.L1 - 1, 2 * s1.f),
                            [-(j.Q_bar + j.p_bar + j.q_bar)],
@@ -297,6 +294,7 @@ def _branch_base(rates: RateTriple, lam: float) -> tuple[complex, complex]:
     complex-conjugate roots the oscillatory band regime.  The two roots
     multiply to p/q; returns (smaller-|x|, larger-|x|).
     """
+    _require_hopping(rates)
     a, b, c = rates.q, -(lam - 2 * rates.f) * rates.cos_2theta, rates.p
     disc = cmath.sqrt(complex(b * b - 4 * a * c))
     xs = sorted([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], key=abs)
@@ -429,17 +427,15 @@ def homogeneous_modes(rates: RateTriple, L: int,
         raise ValueError(f"unknown family {family!r}")
     if L < 2:
         raise ChainValidationError(f"need at least 2 sites, got L={L}")
+    _require_hopping(rates)
     p, q, c2 = rates.p, rates.q, rates.cos_2theta
     # the homogeneous junction makes every split L1 + L2 = L the same matrix
     matrix = build_script_matrix(homogeneous_chain(rates, 1, L - 1))
     out = []
 
-    if family == "first":
-        xs = [p / q * c2, c2] + [cmath.sqrt(p / q) * cmath.exp(1j * math.pi * k / L)
-                                 for k in range(1, L)]
-    else:
-        xs = [q / p * c2, c2] + [cmath.sqrt(q / p) * cmath.exp(1j * math.pi * k / L)
-                                 for k in range(1, L)]
+    ratio = p / q if family == "first" else q / p
+    xs = [ratio * c2, c2] + [cmath.sqrt(ratio) * cmath.exp(1j * math.pi * k / L)
+                             for k in range(1, L)]
 
     for x in xs:
         try:

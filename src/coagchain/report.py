@@ -54,11 +54,8 @@ def spectrum_report(spec: ChainSpec,
     omega = vacuum_energy(spec, spectrum)
     par = parity(spec)
     gap = spectral_gap(spectrum, omega, par)
-    checks: dict = {
-        "route": spectrum.route,
-        "max_root": float(np.max(spectrum.bulk_roots))
-        if len(spectrum.bulk_roots) else 0.0,
-    }
+    checks = {"route": spectrum.route,  # N >= 2, so there is a root
+              "max_root": float(np.max(spectrum.bulk_roots))}
     full = (assemble_full_spectrum(spectrum, omega, par, spec.n_sites)
             if include_full else None)
     return SpectrumReport(spec, omega, par, gap.gap, gap.labels, spectrum,

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalyticPathError, ChainValidationError, ConsistencyError
+from .errors import ChainValidationError, ConsistencyError
 from .model import (ChainSpec, RateTriple, build_impurity_junction,
                     build_quench_junction)
 from .oneparticle import one_particle_spectrum
-from .spectrum import parity, spectral_gap, vacuum_energy
+from .spectrum import parity, spectral_gap, vacuum_energy_closed_form
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ def _gap_point(x: float, make_spec) -> SweepPoint:
     try:
         spec = make_spec(x)
         spectrum = one_particle_spectrum(spec)
-        omega = vacuum_energy(spec, spectrum)
+        omega = vacuum_energy_closed_form(spec)
         gap = spectral_gap(spectrum, omega, parity(spec))
         return SweepPoint(x, gap.gap, omega, gap.labels, spectrum.route)
-    except (ChainValidationError, ConsistencyError, AnalyticPathError) as exc:
+    except (ChainValidationError, ConsistencyError) as exc:
         return SweepPoint(x, None, None, (), "", error=str(exc))
 
 
@@ -70,14 +70,6 @@ def quench_gap_sweep(p1: float, q1: float, p2: float, q2: float,
 
 def sweep_rows(points: list[SweepPoint], x_name: str) -> list[dict]:
     """Rows ready for CSV writing, one per grid point."""
-    rows = []
-    for pt in points:
-        rows.append({
-            x_name: pt.x,
-            "gap": pt.gap,
-            "omega": pt.omega,
-            "pair": "+".join(pt.labels),
-            "route": pt.route,
-            "error": pt.error or "",
-        })
-    return rows
+    return [{x_name: pt.x, "gap": pt.gap, "omega": pt.omega,
+             "pair": "+".join(pt.labels), "route": pt.route,
+             "error": pt.error or ""} for pt in points]

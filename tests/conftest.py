@@ -1,6 +1,7 @@
 """Shared fixtures: canonical chains and a random valid-chain sampler."""
 
 import math
+from dataclasses import astuple
 from itertools import accumulate
 
 import numpy as np
@@ -11,18 +12,33 @@ from coagchain import (ChainSpec, JunctionRates, RateTriple,
                        gillespie, homogeneous_chain)
 
 
-def make_impurity_spec(L=3, p=0.5, q=3.0, theta=0.6, s=-0.3) -> ChainSpec:
-    rates = RateTriple.from_theta(p, q, theta)
+def impurity_chain(rates, L, s) -> ChainSpec:
     junction, _ = build_impurity_junction(rates, s)
     return ChainSpec(L, L, rates, rates, junction,
                      junction_kind="impurity", impurity_s=s)
 
 
-def make_quench_spec(L=3, delta1=1.0, delta2=1.0) -> ChainSpec:
-    seg1 = RateTriple(0.6, 6.0, delta1)
-    seg2 = RateTriple(6.0, 0.2, delta2)
+def quench_chain(seg1, seg2, L) -> ChainSpec:
     junction, _ = build_quench_junction(seg1, seg2)
     return ChainSpec(L, L, seg1, seg2, junction, junction_kind="quench")
+
+
+def mp_chain(spec) -> ChainSpec:
+    """``spec`` with every rate an mpmath number at the working precision."""
+    import mpmath
+    s1, s2 = (RateTriple(*map(mpmath.mpf, astuple(r)))
+              for r in (spec.seg1, spec.seg2))
+    junction = JunctionRates(*map(mpmath.mpf, astuple(spec.junction)))
+    return ChainSpec(spec.L1, spec.L2, s1, s2, junction)
+
+
+def make_impurity_spec(L=3, p=0.5, q=3.0, theta=0.6, s=-0.3) -> ChainSpec:
+    return impurity_chain(RateTriple.from_theta(p, q, theta), L, s)
+
+
+def make_quench_spec(L=3, delta1=1.0, delta2=1.0) -> ChainSpec:
+    return quench_chain(RateTriple(0.6, 6.0, delta1),
+                        RateTriple(6.0, 0.2, delta2), L)
 
 
 def make_benchmark_chain(family, n_sites, delta=None) -> ChainSpec:

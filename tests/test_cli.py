@@ -6,7 +6,7 @@ import pytest
 from coagchain import save_chain
 from coagchain.cli import main
 from coagchain.sweeps import impurity_gap_sweep, quench_gap_sweep
-from conftest import make_impurity_spec, make_quench_spec
+from conftest import impurity_chain, make_impurity_spec, make_quench_spec
 
 
 @pytest.fixture
@@ -85,13 +85,36 @@ class TestSpectrumCommand:
         }))
         assert main(["spectrum", "--spec", str(bad)]) == 1
 
-    def test_zero_hopping_validation_exit(self, tmp_path, capsys):
-        # p = 0 passes the rate bounds but has no free-fermion spectrum
+    def test_zero_hopping_gets_its_spectrum(self, tmp_path, capsys):
+        # p = 0 passes the rate bounds, and the Jacobi matrix needs no more
         from coagchain import RateTriple, homogeneous_chain
         path = tmp_path / "p0.json"
         save_chain(homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3), path)
-        assert main(["spectrum", "--spec", str(path)]) == 1
-        assert "p, q > 0" in capsys.readouterr().err
+        assert main(["spectrum", "--spec", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["gap"] == -3.0
+
+
+class TestVerifyZeroHopping:
+    def test_sign_check_skipped_and_battery_passes(self, tmp_path, capsys):
+        from coagchain import RateTriple
+        path = tmp_path / "q0.json"
+        save_chain(impurity_chain(RateTriple(2.0, 0.0, 1.0), 2, 0.5), path)
+        assert main(["verify", "--spec", str(path), "--level", "full"]) == 0
+        out = capsys.readouterr().out
+        assert "[skipped] secular sign alternation" in out
+        assert "[ok] simulator stationarity" in out
+
+    def test_no_validation_error_or_traceback(self, tmp_path, capsys):
+        # the float checks of the defective generator fail (exit 2), but
+        # the battery runs to its end
+        from coagchain import RateTriple, homogeneous_chain
+        path = tmp_path / "p0.json"
+        save_chain(homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3), path)
+        main(["verify", "--spec", str(path), "--level", "full"])
+        captured = capsys.readouterr()
+        assert "validation error" not in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert "[ok] simulator stationarity" in captured.out
 
 
 class TestMalformedChainFile:
@@ -382,9 +405,8 @@ class TestSweepHelpers:
         assert bad and good
         assert all("q_bar*delta2 - Q2 >= Q_bar" in pt.error for pt in bad)
 
-    def test_zero_hopping_points_recorded(self):
+    def test_zero_hopping_points_get_gaps(self):
         from coagchain import RateTriple
         points = impurity_gap_sweep(RateTriple(0.0, 3.0, 1.0), 3, [0.0, 0.5])
-        assert len(points) == 2
-        for pt in points:
-            assert pt.gap is None and "p, q > 0" in pt.error
+        assert [pt.error for pt in points] == [None, None]
+        assert [f"{pt.gap:.12g}" for pt in points] == ["-3", "-1.86254139118"]

@@ -1,19 +1,17 @@
 import itertools
-from dataclasses import astuple
 
 import mpmath
 import numpy as np
 import pytest
 
-from coagchain import (ChainSpec, JunctionRates, RateTriple, SizeLimitError,
-                       assemble_generator, brute_force_spectrum,
+from coagchain import (RateTriple, SizeLimitError, assemble_generator, brute_force_spectrum,
                        build_bulk_operator, edge_energies, homogeneous_chain,
                        parity, solve_secular, stationary_vectors,
                        vacuum_energy_closed_form)
 from coagchain.model import bulk_matrix, junction_matrix
-from conftest import (kron_generator, make_benchmark_chain,
-                      make_impurity_spec, make_quench_spec, random_chain,
-                      sampler_events)
+from conftest import (impurity_chain, kron_generator, make_benchmark_chain,
+                      make_impurity_spec, make_quench_spec, mp_chain,
+                      quench_chain, random_chain, sampler_events)
 
 
 class TestIndexing:
@@ -151,9 +149,11 @@ class TestExactReduction:
     misses the spectrum by 1.7e-5 on the steep impurity chain."""
 
     @staticmethod
-    def secular_roots(mp, coupling_factor=1):
+    def secular_roots(mp, factor=1):
         """Eigenvalues of the Jacobi matrix T of the chain ``mp``, restated
-        from its diagonal and its squared couplings."""
+        from its diagonal and its squared couplings.  ``factor`` scales the
+        first nonzero squared coupling, or the junction diagonal entry
+        when every coupling is 0."""
         s1, s2, j = mp.seg1, mp.seg2, mp.junction
         diag = ([2 * s1.f] * (mp.L1 - 1) + [-(j.Q_bar + j.p_bar + j.q_bar)]
                 + [2 * s2.f] * (mp.L2 - 1))
@@ -161,11 +161,35 @@ class TestExactReduction:
                    + [s1.q * (1 + s1.delta) * j.p_bar,
                       s2.p * (1 + s2.delta) * j.q_bar]
                    + [s2.p * s2.q * (1 + s2.delta)] * (mp.L2 - 2))
-        squares[0] *= coupling_factor
+        nonzero = [i for i, c2 in enumerate(squares) if c2]
+        if nonzero:
+            squares[nonzero[0]] *= factor
+        else:
+            diag[mp.L1 - 1] *= factor
         t = mpmath.diag(diag)
         for i, c2 in enumerate(squares):
             t[i, i + 1] = t[i + 1, i] = mpmath.sqrt(c2)
         return sorted(mpmath.eigsy(t, eigvals_only=True), reverse=True)
+
+    @staticmethod
+    def det(rows):
+        """Determinant by Gaussian elimination with partial pivoting on
+        plain lists, several times faster than ``mpmath.det``'s matrix
+        indexing; on x0 - G, far from singular, the two agree digit for
+        digit."""
+        a = [list(row) for row in rows]
+        out = mpmath.mpf(1)
+        for k in range(len(a)):
+            piv = max(range(k, len(a)), key=lambda i: abs(a[i][k]))
+            a[k], a[piv] = a[piv], a[k]
+            out *= a[k][k] if piv == k else -a[k][k]
+            if not a[k][k]:
+                return out
+            for i in range(k + 1, len(a)):
+                f = a[i][k] / a[k][k]
+                if f:
+                    a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[k][k:])]
+        return out
 
     @staticmethod
     def subset_product(x0, omega, lams, odd):
@@ -180,31 +204,32 @@ class TestExactReduction:
         make_impurity_spec(3, theta=0.6, s=1.0),
         make_impurity_spec(3, theta=0.78, s=1.0),
         make_quench_spec(3, delta1=1.0, delta2=1.3),
-    ], ids=["impurity-0.6", "impurity-0.78", "quench"])
+        homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3),
+        impurity_chain(RateTriple(2.0, 0.0, 1.0), 3, 0.5),
+        quench_chain(RateTriple(0.0, 6.0, 1.0), RateTriple(6.0, 0.2, 1.3), 3),
+    ], ids=["impurity-0.6", "impurity-0.78", "quench", "homogeneous-p0",
+            "impurity-q0", "quench-p1-0"])
     def test_characteristic_polynomial_at_40_digits(self, spec):
         with mpmath.workdps(40):
-            s1, s2 = (RateTriple(*map(mpmath.mpf, astuple(r)))
-                      for r in (spec.seg1, spec.seg2))
-            j = JunctionRates(*map(mpmath.mpf, astuple(spec.junction)))
-            mp = ChainSpec(spec.L1, spec.L2, s1, s2, j)
+            mp = mp_chain(spec)
+            s1, s2 = mp.seg1, mp.seg2
             gen = kron_generator([bulk_matrix(s1)] * (mp.L1 - 1)
-                                 + [junction_matrix(s1, s2, j)]
+                                 + [junction_matrix(s1, s2, mp.junction)]
                                  + [bulk_matrix(s2)] * (mp.L2 - 1))
             x0 = mpmath.mpf("0.37")
-            det = mpmath.det(x0 * mpmath.eye(len(gen))
-                             - mpmath.matrix(gen.tolist()))
+            det = self.det((x0 * np.eye(len(gen)) - gen).tolist())
             omega = vacuum_energy_closed_form(mp)
             odd = parity(mp) == "odd"
 
-            def rel(flip=False, coupling_factor=1):
-                roots = self.secular_roots(mp, coupling_factor)
+            def rel(flip=False, factor=1):
+                roots = self.secular_roots(mp, factor)
                 lams = list(edge_energies(mp)) + roots
                 return abs(det - self.subset_product(x0, omega, lams,
                                                      odd != flip)) / abs(det)
 
             assert rel() <= 1e-30
             assert rel(flip=True) > 1e-20
-            assert rel(coupling_factor=1 + mpmath.mpf("1e-12")) > 1e-20
+            assert rel(factor=1 + mpmath.mpf("1e-12")) > 1e-20
             roots = np.array(self.secular_roots(mp), dtype=float)
         assert np.max(np.abs(solve_secular(spec) - roots)) \
             <= 1e-12 * np.max(np.abs(roots))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coagchain import (AnalyticPathError, ConsistencyError, RateTriple,
+from coagchain import (ChainValidationError, ConsistencyError, RateTriple,
                        build_script_matrix, bulk_mode, edge_energies,
                        edge_modes, homogeneous_chain, homogeneous_energies,
                        homogeneous_modes, one_particle_spectrum,
@@ -52,9 +52,13 @@ class TestHomogeneousEnergies:
         assert sp.lambda_edge_1 == pytest.approx(-2.5 * 2.0 / 2)
         assert sp.lambda_edge_1 == sp.lambda_edge_2
 
-    def test_rejects_zero_rates(self):
-        with pytest.raises(AnalyticPathError):
-            homogeneous_energies(RateTriple(0.0, 1.0, 0.5), 4)
+    def test_zero_hopping_roots_are_2f(self):
+        # mu = 0: the band collapses onto 2f, as the Jacobi matrix says
+        for rates in (RateTriple(0.0, 3.0, 1.0), RateTriple(2.0, 0.0, 1.0)):
+            roots = homogeneous_energies(rates, 6).bulk_roots
+            assert np.all(roots == 2 * rates.f)
+            assert np.array_equal(
+                roots, solve_secular(homogeneous_chain(rates, 3, 3)))
 
 
 class TestSecularFunction:
@@ -77,7 +81,7 @@ class TestSecularFunction:
         spec = ChainSpec(2, 2, r_ok, r_ok, JunctionRates(1, 2, 0.75))
         bad = ChainSpec(2, 2, r_bad, r_ok, JunctionRates(0.0, 1.0, 0.25))
         secular_function(spec, -1.0)
-        with pytest.raises(AnalyticPathError):
+        with pytest.raises(ChainValidationError, match="p\\*q > 0"):
             secular_function(bad, -1.0)
 
 
@@ -289,6 +293,22 @@ class TestHomogeneousModes:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             homogeneous_modes(RateTriple(1, 2, 1), 4, "third")
+
+
+Q0 = homogeneous_chain(RateTriple(2.0, 0.0, 1.0), 3, 3)
+P0 = homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: homogeneous_modes(Q0.seg1, 4),
+    lambda: edge_modes(Q0, build_script_matrix(Q0)),
+    lambda: bulk_mode(Q0, -1.0, build_script_matrix(Q0)),
+    lambda: edge_modes(P0, build_script_matrix(P0)),
+], ids=["homogeneous-q0", "edge-q0", "bulk-q0", "edge-p0"])
+def test_ansatz_needs_hopping(call):
+    # the ansatze divide by p, q and mu: a typed error, not a traceback
+    with pytest.raises(ChainValidationError, match="p\\*q > 0"):
+        call()
 
 
 def assert_junction_modes_exact(spec):

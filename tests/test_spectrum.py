@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from coagchain import (ConsistencyError, RateTriple, SizeLimitError,
                        assemble_full_spectrum, assemble_generator,
-                       brute_force_spectrum, critical_theta,
+                       brute_force_spectrum, critical_theta, edge_energies,
                        finite_homogeneous_gap, homogeneous_chain,
                        homogeneous_energies, homogeneous_gap,
                        one_particle_spectrum, parity, spectral_gap,
@@ -17,8 +18,9 @@ from coagchain import spectrum as spectrum_module
 from coagchain.model import DELTA_MAX, ROUNDING
 from coagchain.oneparticle import OneParticleSpectrum
 from coagchain.spins import junction_coefficients
-from conftest import (make_benchmark_chain, make_impurity_spec,
-                      make_quench_spec, random_chain)
+from conftest import (impurity_chain, make_benchmark_chain,
+                      make_impurity_spec, make_quench_spec, mp_chain,
+                      quench_chain, random_chain)
 
 
 class TestVacuumEnergy:
@@ -89,6 +91,34 @@ class TestVacuumEnergy:
         spec = make_impurity_spec(L=60, theta=0.6, s=-0.5)
         sp = one_particle_spectrum(spec)
         assert vacuum_energy(spec, sp) == vacuum_energy_closed_form(spec)
+
+    def test_sum_route_is_closed_form_at_40_digits(self, rng):
+        # the roots sum to tr T, where the (L_i - 1) f_i terms cancel: the
+        # sum route is psi + (Q_bar + p_bar + q_bar)/2 - (edge1 + edge2)/2
+        # at every N, which is -Q1/2 + Q2/2 + (|Q1| + |Q2|)/2, the closed
+        # form's case analysis; p*q = 0 chains cover all three cases
+        chains = [random_chain(rng) for _ in range(6)]
+        for _ in range(2):
+            p, q, d, d2, s = rng.uniform(0.2, 3.0, 5)
+            chains += [impurity_chain(RateTriple(0.0, q, d), 3, s),
+                       impurity_chain(RateTriple(p, 0.0, d), 3, s),
+                       quench_chain(RateTriple(0.0, q, d),
+                                    RateTriple(p, 0.0, d2), 3)]
+        with mpmath.workdps(40):
+            for spec in chains:
+                mp = mp_chain(spec)
+                j = mp.junction
+                psi = junction_coefficients(mp.seg1, mp.seg2, j).psi
+                closed = vacuum_energy_closed_form(mp)
+
+                def rel(psi):
+                    terms = (psi, (j.Q_bar + j.p_bar + j.q_bar) / 2,
+                             -sum(edge_energies(mp)) / 2)
+                    return (abs(sum(terms) - closed)
+                            / (sum(map(abs, terms)) + abs(closed)))
+
+                assert rel(psi) <= 1e-30, spec
+                assert rel(psi * (1 + mpmath.mpf("1e-12"))) > 1e-20, spec
 
     def test_vieta_consistency(self, rng):
         # the root sum implied by the closed-form vacuum energy matches

@@ -53,6 +53,23 @@ def test_simulation_target(family, absorbing, monkeypatch):
         assert target[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_absorbed_run_compares_its_final_state():
+    # with p = 0 the run is absorbed at a one-particle state after a few
+    # events; its histogram holds only the time before that
+    spec = homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3)
+    result = verify._simulation_check(spec, assemble_generator(spec))
+    assert result.passed, result.detail
+    assert "absorbed" in result.detail
+
+
+def test_frozen_chain_runs_to_the_end():
+    # every rate 0: G = 0, and neither route has a nonzero eigenvalue
+    spec = homogeneous_chain(RateTriple(0.0, 0.0, 1.0), 2, 2)
+    found = verdicts(spec, "full")
+    assert found["trace identity"] and found["gap vs brute force"]
+    assert not found["simulator stationarity"]  # 16-dimensional null space
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_unexpected_null_space_fails(dim, monkeypatch):
     spec = make_benchmark_chain("impurity", 4)  # absorbing: dimension 2
@@ -106,17 +123,19 @@ def test_generator_assembled_once(family, monkeypatch):
     assert sizes == [8]
 
 
-@pytest.mark.parametrize("L1, L2", [(1, 5), (5, 1), (3, 3)])
-def test_residual_detail_names_ansatz_modes_not_run(L1, L2):
-    seg1, seg2 = RateTriple(0.6, 6.0, 1.0), RateTriple(6.0, 0.2, 1.3)
+@pytest.mark.parametrize("L1, L2, p1", [(1, 5, 0.6), (5, 1, 0.6),
+                                        (3, 3, 0.6), (3, 3, 0.0)])
+def test_residual_detail_names_ansatz_modes_not_run(L1, L2, p1):
+    seg1, seg2 = RateTriple(p1, 6.0, 1.0), RateTriple(6.0, 0.2, 1.3)
     junction, _ = build_quench_junction(seg1, seg2)
     spec = ChainSpec(L1, L2, seg1, seg2, junction, junction_kind="quench")
     (result,) = [r for r in verify.run_verification(spec, "quick")
                  if r.name == "eigenvector residuals"]
     assert result.passed
     assert not result.detail.startswith("skipped")
-    not_run = "edge and bulk ansatz modes not run" in result.detail
-    assert not_run == (min(L1, L2) == 1), result.detail
+    not_run = ("edge and bulk ansatz modes not run (need L1, L2 >= 2 and "
+               "p*q > 0)" in result.detail)
+    assert not_run == (min(L1, L2) == 1 or p1 == 0), result.detail
 
 
 @pytest.mark.parametrize("spec", [
