@@ -31,7 +31,7 @@ print(f"  segment-2 edge   {sp.lambda_edge_2:+.6f}")
 for k, lam in enumerate(sp.bulk_roots, 1):
     print(f"  secular root {k}   {lam:+.6f}")
 
-omega = vacuum_energy(spec, sp)
+omega = vacuum_energy(spec)
 par = parity(spec)
 print(f"\nvacuum energy {omega:.6f}, {par} excitation parity")
 

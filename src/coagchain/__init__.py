@@ -25,11 +25,12 @@ from .chebyshev import ScaledValue, chebyshev_u_pair_scaled
 from .oneparticle import (ModeVector, OneParticleSpectrum, build_script_matrix,
                           bulk_mode, edge_energies, edge_modes,
                           homogeneous_energies, homogeneous_modes,
-                          one_particle_spectrum, pairing_residual,
+                          jacobi_entries, one_particle_spectrum,
+                          pairing_residual,
                           secular_function, solve_secular, trivial_zero_modes)
 from .spectrum import (GapResult, assemble_full_spectrum, critical_theta,
                        finite_homogeneous_gap, homogeneous_gap, parity,
-                       spectral_gap, vacuum_energy, vacuum_energy_closed_form)
+                       spectral_gap, vacuum_energy)
 from .report import SpectrumReport, spectrum_report
 from .sweeps import (SweepPoint, impurity_gap_sweep, quench_gap_sweep,
                      sweep_rows)

@@ -174,6 +174,8 @@ def cmd_simulate(args) -> int:
         initial = LatticeState.from_bits([int(c) for c in args.initial])
     result = run_simulation(spec, initial, args.events, seed=args.seed,
                             t_max=args.t_max)
+    if result.absorbed:
+        print(f"# absorbed after {result.n_events} events", file=sys.stderr)
     if args.profile or n > _HISTOGRAM_MAX_SITES:
         profile = result.density_profile()
         rows = [{"site": k + 1, "density": float(profile[k])}

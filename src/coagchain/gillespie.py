@@ -91,13 +91,17 @@ class SimulationResult:
     seed: int
 
     def histogram(self) -> dict[int, float]:
-        """Configuration weights normalized to a probability distribution."""
-        if self.total_time <= 0:
+        """Configuration weights normalized to a probability distribution.
+
+        An absorbed run stays in its final state forever, and a run that
+        took no time has only that state: both give its point mass.
+        """
+        if self.absorbed or self.total_time <= 0:
             return {self.final_state.occupancy: 1.0}
         return {c: w / self.total_time for c, w in self.config_weights.items()}
 
     def density_profile(self) -> np.ndarray:
-        if self.total_time <= 0:
+        if self.absorbed or self.total_time <= 0:
             return np.asarray(self.final_state.bits(), dtype=float)
         return self.site_occupation / self.total_time
 

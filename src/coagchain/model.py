@@ -87,35 +87,35 @@ class RateTriple:
     def cos_2theta(self) -> float:
         sqrt = (math.sqrt if isinstance(self.delta, _FLOATS)
                 else self.delta.context.sqrt)  # mpmath's, at its precision
-        return 1.0 / sqrt(1.0 + self.delta)
+        return 1 / sqrt(1 + self.delta)
 
     @property
     def sin_theta_sq(self) -> float:
-        return 0.5 * (1.0 - self.cos_2theta)
+        return (1 - self.cos_2theta) / 2
 
     @property
     def cos_theta_sq(self) -> float:
-        return 0.5 * (1.0 + self.cos_2theta)
+        return (1 + self.cos_2theta) / 2
 
     @property
     def f(self) -> float:
         """Constant term of the two-site spin decomposition."""
-        return -(self.p + self.q) * (2.0 + self.delta) / 4.0
+        return -(self.p + self.q) * (2 + self.delta) / 4
 
     @property
     def mu(self) -> float:
         """Half-bandwidth sqrt(p*q)/cos(2*theta) of the one-particle band."""
-        return math.sqrt(self.p * self.q * (1.0 + self.delta))
+        return math.sqrt(self.p * self.q * (1 + self.delta))
 
     @property
     def Q(self) -> float:
         """Junction combination delta*(q-p)/2 entering positivity bounds."""
-        return self.delta * (self.q - self.p) / 2.0
+        return self.delta * (self.q - self.p) / 2
 
     @property
     def t(self) -> float:
         """Boundary-term coefficient (p-q)*delta/4."""
-        return (self.p - self.q) * self.delta / 4.0
+        return (self.p - self.q) * self.delta / 4
 
 
 @dataclass(frozen=True)
@@ -221,10 +221,10 @@ def bulk_matrix(rates: RateTriple) -> np.ndarray:
     """The 4x4 generator of a homogeneous segment, unscreened."""
     p, q, d = rates.p, rates.q, rates.delta
     return np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, -(d + 1.0) * q, p, p],
-        [0.0, q, -(d + 1.0) * p, q],
-        [0.0, d * q, d * p, -p - q],
+        [0, 0, 0, 0],
+        [0, -(d + 1) * q, p, p],
+        [0, q, -(d + 1) * p, q],
+        [0, d * q, d * p, -p - q],
     ])
 
 
@@ -244,14 +244,14 @@ def junction_matrix(seg1: RateTriple, seg2: RateTriple,
     d1, d2 = seg1.delta, seg2.delta
     pb, qb, Qb = junction.p_bar, junction.q_bar, junction.Q_bar
     m = [
-        [0.0, 0.0, 0.0, 0.0],
-        [_formed(qb * d2, -Qb, -Q2), 0.0, pb, pb],
-        [_formed(pb * d1, -Qb, Q1), qb, 0.0, qb],
+        [0, 0, 0, 0],
+        [_formed(qb * d2, -Qb, -Q2), 0, pb, pb],
+        [_formed(pb * d1, -Qb, Q1), qb, 0, qb],
         [_formed(2 * Qb, -pb * d1, -qb * d2), _formed(Qb, Q1),
-         _formed(Qb, -Q2), 0.0],
+         _formed(Qb, -Q2), 0],
     ]
     for k, out_rate in enumerate([sum(col) for col in zip(*m)]):
-        m[k][k] = 0.0 - out_rate  # +0.0, not -0.0, for an inert column
+        m[k][k] = 0 - out_rate  # +0.0, not -0.0, for an inert column
     return np.array(m)
 
 
@@ -277,7 +277,7 @@ def build_impurity_junction(rates: RateTriple,
     from an empty pair: its vacuum column is exactly zero.
     """
     p_bar, q_bar = rates.p + s, rates.q + s
-    junction = JunctionRates(p_bar, q_bar, (p_bar + q_bar) / 2.0 * rates.delta)
+    junction = JunctionRates(p_bar, q_bar, (p_bar + q_bar) / 2 * rates.delta)
     return junction, build_junction_operator(rates, rates, junction)
 
 
@@ -292,14 +292,14 @@ def build_quench_junction(seg1: RateTriple,
     junction = JunctionRates(
         p_bar=seg1.p,
         q_bar=seg2.q,
-        Q_bar=(seg1.p * seg1.delta + seg2.q * seg2.delta) / 2.0,
+        Q_bar=(seg1.p * seg1.delta + seg2.q * seg2.delta) / 2,
     )
     return junction, build_junction_operator(seg1, seg2, junction)
 
 
 def homogeneous_junction(rates: RateTriple) -> JunctionRates:
     """Junction rates that make the glued chain exactly homogeneous."""
-    return build_impurity_junction(rates, 0.0)[0]
+    return build_impurity_junction(rates, 0)[0]
 
 
 def homogeneous_chain(rates: RateTriple, L1: int, L2: int) -> ChainSpec:

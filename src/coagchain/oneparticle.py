@@ -120,30 +120,38 @@ def secular_function(spec: ChainSpec, lam: float) -> ScaledValue:
     return ScaledValue(*_secular_scaled(spec, float(lam)))
 
 
-def solve_secular(spec: ChainSpec) -> np.ndarray:
-    """All N-1 secular roots, descending.
+def jacobi_entries(spec: ChainSpec) -> tuple[list, list]:
+    """Diagonal and squared couplings of the Jacobi matrix T, in the
+    chain's number type (floats, ``Fraction`` or mpmath numbers).
 
-    They are the eigenvalues of a symmetric tridiagonal (Jacobi) matrix T
-    with det(lam - T) proportional to the secular function.  The Toeplitz
-    block of a segment has mu^(L-1) * U_(L-1)((lam-2f)/2mu) as its
-    determinant; bordering the two blocks with the junction entry
-    -(Q_bar + p_bar + q_bar) and the couplings c1, c2 reproduces the
-    mantissa of ``_secular_scaled`` because c1^2 = mu1^2 * p_bar / p1 and
-    c2^2 = mu2^2 * q_bar / q2.  At p*q = 0 a segment's couplings vanish
-    and its roots are 2f.
+    T is symmetric tridiagonal of size N-1 with det(lam - T) proportional
+    to the secular function.  The Toeplitz block of a segment, diagonal
+    2f and squared coupling mu^2 = p*q*(1+delta), has
+    mu^(L-1) * U_(L-1)((lam-2f)/2mu) as its determinant; bordering the
+    two blocks with the junction entry -(Q_bar + p_bar + q_bar) and the
+    squared couplings c1^2 = mu1^2 * p_bar / p1 and c2^2 = mu2^2 * q_bar / q2
+    reproduces the mantissa of ``_secular_scaled``.  No entry divides, so
+    at p*q = 0 a segment's couplings vanish and its roots are 2f.
     """
     s1, s2, j = spec.seg1, spec.seg2, spec.junction
-    diag = np.concatenate((np.full(spec.L1 - 1, 2 * s1.f),
-                           [-(j.Q_bar + j.p_bar + j.q_bar)],
-                           np.full(spec.L2 - 1, 2 * s2.f)))
-    off = [np.full(max(spec.L1 - 2, 0), s1.mu)]
+    diagonal = ([2 * s1.f] * (spec.L1 - 1) + [-(j.Q_bar + j.p_bar + j.q_bar)]
+                + [2 * s2.f] * (spec.L2 - 1))
+    squares = [s1.p * s1.q * (1 + s1.delta)] * (spec.L1 - 2)
     if spec.L1 >= 2:
-        off.append([math.sqrt(s1.q * (1 + s1.delta) * j.p_bar)])
+        squares.append(s1.q * (1 + s1.delta) * j.p_bar)
     if spec.L2 >= 2:
-        off.append([math.sqrt(s2.p * (1 + s2.delta) * j.q_bar)])
-    off.append(np.full(max(spec.L2 - 2, 0), s2.mu))
-    roots = scipy.linalg.eigh_tridiagonal(diag, np.concatenate(off),
-                                          eigvals_only=True)[::-1]
+        squares.append(s2.p * (1 + s2.delta) * j.q_bar)
+    squares += [s2.p * s2.q * (1 + s2.delta)] * (spec.L2 - 2)
+    return diagonal, squares
+
+
+def solve_secular(spec: ChainSpec) -> np.ndarray:
+    """All N-1 secular roots, descending: the eigenvalues of the Jacobi
+    matrix T of ``jacobi_entries``, formed from its entries in floats."""
+    diagonal, squares = jacobi_entries(spec)
+    roots = scipy.linalg.eigh_tridiagonal(
+        np.array(diagonal, dtype=float),
+        np.sqrt(np.array(squares, dtype=float)), eigvals_only=True)[::-1]
     if roots[0] > 1e-10:
         raise ConsistencyError(
             f"positive secular root {roots[0]!r}; spectrum would not be a "

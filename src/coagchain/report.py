@@ -51,7 +51,7 @@ def spectrum_report(spec: ChainSpec,
     if not validation.ok:
         raise ChainValidationError("; ".join(validation.violations))
     spectrum = one_particle_spectrum(spec)
-    omega = vacuum_energy(spec, spectrum)
+    omega = vacuum_energy(spec)
     par = parity(spec)
     gap = spectral_gap(spectrum, omega, par)
     checks = {"route": spectrum.route,  # N >= 2, so there is a root

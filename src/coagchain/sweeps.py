@@ -16,7 +16,7 @@ from .errors import ChainValidationError, ConsistencyError
 from .model import (ChainSpec, RateTriple, build_impurity_junction,
                     build_quench_junction)
 from .oneparticle import one_particle_spectrum
-from .spectrum import parity, spectral_gap, vacuum_energy_closed_form
+from .spectrum import parity, spectral_gap, vacuum_energy
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def _gap_point(x: float, make_spec) -> SweepPoint:
     try:
         spec = make_spec(x)
         spectrum = one_particle_spectrum(spec)
-        omega = vacuum_energy_closed_form(spec)
+        omega = vacuum_energy(spec)
         gap = spectral_gap(spectrum, omega, parity(spec))
         return SweepPoint(x, gap.gap, omega, gap.labels, spectrum.route)
     except (ChainValidationError, ConsistencyError) as exc:

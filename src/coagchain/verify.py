@@ -5,11 +5,10 @@ model: the spin-decomposition identities, the +/- pairing of the
 one-particle matrix, sign alternation of the Chebyshev secular function
 between consecutive roots, eigenvector-ansatz residuals (these two run
 only where p*q > 0), the brute-force oracle on the full configuration
-space, the trace identity, the dual vacuum-energy computation, and (at
-the full level) a stochastic simulation against the exact stationary
-state.  The two sum identities allow ``model.ROUNDING`` times the summed
-magnitudes of their terms, the two decomposition identities (at 40
-digits) 1e-30 times.
+space, the trace identity, and (at the full level) a stochastic
+simulation against the exact stationary state.  The trace identity
+allows ``model.ROUNDING`` times the summed magnitudes of its terms, the
+two decomposition identities (at 40 digits) 1e-30 times.
 The block one-particle matrix and the dense 2^N generator are each built
 once: the pairing and set-vs-matrix checks share the matrix's eigenvalues
 and the mode residuals use it; the trace identity, the brute-force oracle
@@ -33,7 +32,7 @@ from .oneparticle import (DegenerateModeWarning, _secular_scaled,
                           one_particle_spectrum, pairing_residual,
                           script_matrix_negative_spectrum, trivial_zero_modes)
 from .spectrum import (assemble_full_spectrum, parity, spectral_gap,
-                       vacuum_energy, vacuum_energy_closed_form)
+                       vacuum_energy)
 from .spins import verify_bulk_identity, verify_junction_identity
 
 _SIM_EVENTS, _SIM_SEED, _SIM_TOL = 300_000, 20_240_801, 0.05  # TV check
@@ -102,15 +101,6 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
         results.append(_check("secular sign alternation", bad, 0,
                               detail=f"{len(signs)} midpoints"))
 
-    omega = vacuum_energy_closed_form(spec)
-    try:
-        omega = vacuum_energy(spec, spectrum)
-        results.append(CheckResult("vacuum dual computation", True, None,
-                                   f"omega {omega:.12g}"))
-    except ConsistencyError as exc:
-        results.append(CheckResult("vacuum dual computation", False, None,
-                                   str(exc)))
-
     # ansatz residuals at desk scale
     ansatz_runs = spec.L1 >= 2 and spec.L2 >= 2
     with warnings.catch_warnings():
@@ -130,7 +120,7 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
     results.append(_check("eigenvector residuals",
                           max(mv.residual for mv in modes), 1e-9, detail))
 
-    par = parity(spec)
+    par, omega = parity(spec), vacuum_energy(spec)
 
     dim = 2 ** spec.n_sites
     if dim <= MAX_DENSE_DIM and (level == "full" or dim <= 512):
@@ -176,8 +166,8 @@ def _simulation_check(spec: ChainSpec, gen: np.ndarray) -> CheckResult:
     null space is 2-dimensional and the target is its vector with no
     empty-lattice weight; otherwise the null space is one vector, the
     target.  Either way the target is normalised by its sum.  An absorbed
-    run (p*q = 0 chains have such states) compares the point mass on its
-    final state, as its histogram holds only the time before absorption.
+    run (p*q = 0 chains have such states) has the point mass on its final
+    state as its histogram.
     """
     basis = stationary_vectors(gen)
     absorbing = spec.bond_operator(spec.L1).preserves_vacuum
@@ -189,9 +179,7 @@ def _simulation_check(spec: ChainSpec, gen: np.ndarray) -> CheckResult:
         target = basis[1][0] * basis[0] - basis[0][0] * basis[1]
     result = gillespie.run(spec, gillespie.LatticeState.full(spec.n_sites),
                            _SIM_EVENTS, seed=_SIM_SEED)
-    hist = ({result.final_state.occupancy: 1.0} if result.absorbed
-            else result.histogram())
-    tv = gillespie.total_variation(hist, target / target.sum())
+    tv = gillespie.total_variation(result.histogram(), target / target.sum())
     return CheckResult("simulator stationarity", tv <= _SIM_TOL, tv,
                        f"TV after {result.n_events} events"
                        f"{', absorbed' if result.absorbed else ''} "

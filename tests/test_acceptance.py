@@ -18,25 +18,26 @@ import time
 import warnings
 from contextlib import contextmanager
 
+import mpmath
 import numpy as np
 import pytest
 
 from coagchain import (LatticeState, RateTriple, assemble_full_spectrum,
                        assemble_generator, brute_force_spectrum,
                        build_script_matrix, bulk_mode,
-                       critical_theta, edge_modes, finite_homogeneous_gap,
-                       homogeneous_chain,
+                       critical_theta, edge_energies, edge_modes,
+                       finite_homogeneous_gap, homogeneous_chain,
                        homogeneous_energies, homogeneous_gap,
-                       homogeneous_modes, impurity_gap_sweep,
-                       one_particle_spectrum, pairing_residual, parity,
-                       quench_gap_sweep, run, solve_secular,
-                       stationary_vectors, total_variation,
-                       trivial_zero_modes, vacuum_energy,
-                       vacuum_energy_closed_form, verify_bulk_identity,
+                       homogeneous_modes, impurity_gap_sweep, jacobi_entries,
+                       junction_coefficients, one_particle_spectrum,
+                       pairing_residual, parity, quench_gap_sweep, run,
+                       solve_secular, stationary_vectors, total_variation,
+                       trivial_zero_modes, vacuum_energy, verify_bulk_identity,
                        verify_junction_identity)
 from coagchain.oneparticle import (DegenerateModeWarning,
                                    script_matrix_negative_spectrum)
-from conftest import make_impurity_spec, make_quench_spec, random_chain
+from conftest import (make_impurity_spec, make_quench_spec, mp_chain,
+                      random_chain)
 
 SEED = 424242
 
@@ -53,7 +54,7 @@ def criterion(name):
 
 def _assembled_vs_brute(spec):
     sp = one_particle_spectrum(spec)
-    omega = vacuum_energy(spec, sp)
+    omega = vacuum_energy(spec)
     assembled = assemble_full_spectrum(sp, omega, parity(spec), spec.n_sites)
     bf = brute_force_spectrum(assemble_generator(spec))
     max_imag = float(np.max(np.abs(bf.imag)))
@@ -269,15 +270,32 @@ def test_block_matrix_structure():
                 < 1e-8
 
 
+def _energy_sum(spec, energies):
+    """The energy-sum formula for the vacuum energy: the constant part of
+    the fermionic normal form less half of all one-particle energies."""
+    psi = junction_coefficients(spec.seg1, spec.seg2, spec.junction).psi
+    terms = ((spec.L1 - 1) * spec.seg1.f, (spec.L2 - 1) * spec.seg2.f, psi,
+             -sum(energies) / 2)
+    return sum(terms), sum(map(abs, terms))
+
+
 def test_vacuum_energy_dual_computation():
     with criterion("9. vacuum energy: closed form vs energy-sum formula"):
         rng = np.random.default_rng(SEED + 5)
-        for _ in range(100):
-            spec = random_chain(rng, L1=int(rng.integers(2, 6)),
-                                L2=int(rng.integers(2, 6)))
-            sp = one_particle_spectrum(spec)
-            omega = vacuum_energy(spec, sp)
-            assert abs(omega - vacuum_energy_closed_form(spec)) < 1e-8
+        specs = [random_chain(rng, L1=int(rng.integers(2, 6)),
+                              L2=int(rng.integers(2, 6))) for _ in range(100)]
+        for spec in specs:
+            omega_sum, _ = _energy_sum(
+                spec, one_particle_spectrum(spec).all_values())
+            assert abs(omega_sum - vacuum_energy(spec)) < 1e-8
+        # at 40 digits the roots enter as their sum, the trace of T
+        with mpmath.workdps(40):
+            for spec in specs:
+                mp = mp_chain(spec)
+                trace = sum(jacobi_entries(mp)[0])
+                omega_sum, scale = _energy_sum(
+                    mp, [*edge_energies(mp), trace])
+                assert abs(omega_sum - vacuum_energy(mp)) <= 1e-30 * scale
 
 
 def test_simulator_oracle():
@@ -312,7 +330,7 @@ def test_trace_identity():
         for spec in specs:
             assert spec.n_sites <= 10
             sp = one_particle_spectrum(spec)
-            omega = vacuum_energy(spec, sp)
+            omega = vacuum_energy(spec)
             assembled = assemble_full_spectrum(sp, omega, parity(spec),
                                                spec.n_sites)
             trace = float(np.trace(assemble_generator(spec)))

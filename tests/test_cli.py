@@ -298,8 +298,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[FAIL] one-particle set vs matrix" in out
         assert "complex eigenvalues" in out
-        for name in ("secular sign alternation", "vacuum dual computation",
-                     "[ok] eigenvector residuals",
+        for name in ("secular sign alternation", "[ok] eigenvector residuals",
                      "[skipped] oracle multiset equivalence"):
             assert name in out
 
@@ -337,6 +336,22 @@ class TestSimulateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "site,density"
         assert len(lines) == 1 + 6
+
+    def test_absorbed_run_reports_its_final_state(self, tmp_path, capsys):
+        # p = 0: this run is absorbed in 100000 after 8 of 1000 events
+        from coagchain import RateTriple, homogeneous_chain
+        path = tmp_path / "p0.json"
+        save_chain(homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3), path)
+        assert main(["simulate", "--spec", str(path), "--events", "1000",
+                     "--seed", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["config,weight", "100000,1"]
+        assert err == "# absorbed after 8 events\n"
+        assert main(["simulate", "--spec", str(path), "--events", "1000",
+                     "--seed", "1", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1:] == ["1,1", "2,0", "3,0", "4,0", "5,0",
+                                        "6,0"]
 
     def test_bad_initial_state(self, impurity_file):
         assert main(["simulate", "--spec", impurity_file,

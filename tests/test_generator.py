@@ -6,8 +6,8 @@ import pytest
 
 from coagchain import (RateTriple, SizeLimitError, assemble_generator, brute_force_spectrum,
                        build_bulk_operator, edge_energies, homogeneous_chain,
-                       parity, solve_secular, stationary_vectors,
-                       vacuum_energy_closed_form)
+                       jacobi_entries, parity, solve_secular,
+                       stationary_vectors, vacuum_energy)
 from coagchain.model import bulk_matrix, junction_matrix
 from conftest import (impurity_chain, kron_generator, make_benchmark_chain,
                       make_impurity_spec, make_quench_spec, mp_chain,
@@ -150,17 +150,11 @@ class TestExactReduction:
 
     @staticmethod
     def secular_roots(mp, factor=1):
-        """Eigenvalues of the Jacobi matrix T of the chain ``mp``, restated
-        from its diagonal and its squared couplings.  ``factor`` scales the
-        first nonzero squared coupling, or the junction diagonal entry
-        when every coupling is 0."""
-        s1, s2, j = mp.seg1, mp.seg2, mp.junction
-        diag = ([2 * s1.f] * (mp.L1 - 1) + [-(j.Q_bar + j.p_bar + j.q_bar)]
-                + [2 * s2.f] * (mp.L2 - 1))
-        squares = ([s1.p * s1.q * (1 + s1.delta)] * (mp.L1 - 2)
-                   + [s1.q * (1 + s1.delta) * j.p_bar,
-                      s2.p * (1 + s2.delta) * j.q_bar]
-                   + [s2.p * s2.q * (1 + s2.delta)] * (mp.L2 - 2))
+        """Eigenvalues at the working precision of the Jacobi matrix T of
+        the chain ``mp``, from the entries of ``jacobi_entries``.
+        ``factor`` scales the first nonzero squared coupling, or the
+        junction diagonal entry when every coupling is 0."""
+        diag, squares = jacobi_entries(mp)
         nonzero = [i for i, c2 in enumerate(squares) if c2]
         if nonzero:
             squares[nonzero[0]] *= factor
@@ -218,7 +212,7 @@ class TestExactReduction:
                                  + [bulk_matrix(s2)] * (mp.L2 - 1))
             x0 = mpmath.mpf("0.37")
             det = self.det((x0 * np.eye(len(gen)) - gen).tolist())
-            omega = vacuum_energy_closed_form(mp)
+            omega = vacuum_energy(mp)
             odd = parity(mp) == "odd"
 
             def rel(flip=False, factor=1):

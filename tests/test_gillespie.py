@@ -67,6 +67,15 @@ class TestRun:
         assert result.absorbed
         assert result.n_events == 0
 
+    def test_absorbed_run_has_its_final_state(self):
+        # p = 0: particles only move left, so site 1 ends up holding one
+        spec = homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3)
+        result = run(spec, LatticeState.full(6), 1000, seed=1)
+        assert result.absorbed and result.n_events == 8
+        assert result.final_state.bits() == [1, 0, 0, 0, 0, 0]
+        assert result.histogram() == {0b100000: 1.0}
+        assert result.density_profile().tolist() == [1, 0, 0, 0, 0, 0]
+
     def test_deterministic_replay(self):
         spec = make_impurity_spec(L=2)
         a = run(spec, LatticeState.full(4), 20_000, seed=9)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from coagchain import (ChainSpec, ChainValidationError, JunctionRates,
                        LocalOperator, RateTriple, build_bulk_operator,
                        build_impurity_junction, build_junction_operator,
                        build_quench_junction, chain_from_dict, chain_to_dict,
-                       homogeneous_chain, homogeneous_junction, load_chain,
-                       save_chain, validate_chain)
-from coagchain.model import DELTA_MAX, ROUNDING, column_defect
-from conftest import make_quench_spec, random_chain
+                       homogeneous_chain, homogeneous_junction, jacobi_entries,
+                       load_chain, save_chain, validate_chain)
+from coagchain.model import (DELTA_MAX, ROUNDING, bulk_matrix, column_defect,
+                             junction_matrix)
+from conftest import (impurity_chain, make_quench_spec, quench_chain,
+                      random_chain)
 
 rates_st = st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0),
                      st.floats(0.0, 10.0))
@@ -278,6 +281,26 @@ class TestRoundingRule:
         seg2 = RateTriple(6.0, 0.2, delta / 30 * 0.6 / 6.0)
         _, op = build_quench_junction(seg1, seg2)
         assert op.entries[1, 0] >= 0.0
+
+
+class TestExactRates:
+    @pytest.mark.parametrize("spec", [
+        impurity_chain(RateTriple(Fraction(1, 2), Fraction(3), Fraction(7, 3)),
+                       3, Fraction(1, 3)),
+        quench_chain(RateTriple(Fraction(3, 5), Fraction(6), Fraction(1)),
+                     RateTriple(Fraction(6), Fraction(1, 5), Fraction(13, 10)),
+                     3),
+    ], ids=["impurity", "quench"])
+    def test_fraction_rates_stay_exact(self, spec):
+        # no float literal turns a rational rate into a float on its way
+        # into T or a bond operator, so every column sums to exactly 0
+        ops = [bulk_matrix(spec.seg1), bulk_matrix(spec.seg2),
+               junction_matrix(spec.seg1, spec.seg2, spec.junction)]
+        diagonal, squares = jacobi_entries(spec)
+        entries = diagonal + squares + [x for m in ops for x in m.flat]
+        assert {type(x) for x in entries} <= {Fraction, int}
+        for m in ops:
+            assert all(sum(col) == 0 for col in m.T.tolist())
 
 
 class TestLocalOperatorInvariants:

@@ -25,7 +25,7 @@ def test_trace_identity_catches_shifted_omega(family, monkeypatch):
     spec = make_benchmark_chain(family, 8)
     assert verdicts(spec)["trace identity"]
     monkeypatch.setattr(verify, "vacuum_energy",
-                        lambda spec, sp: vacuum_energy(spec, sp) + 1e-9)
+                        lambda spec: vacuum_energy(spec) + 1e-9)
     assert not verdicts(spec)["trace identity"]
 
 
