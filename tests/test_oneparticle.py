@@ -6,9 +6,11 @@ import pytest
 from coagchain import (ChainValidationError, ConsistencyError, RateTriple,
                        build_script_matrix, bulk_mode, edge_energies,
                        edge_modes, homogeneous_chain, homogeneous_energies,
-                       homogeneous_modes, one_particle_spectrum,
+                       homogeneous_modes, jacobi_entries,
+                       one_particle_spectrum,
                        pairing_residual, secular_function, solve_secular,
                        trivial_zero_modes)
+from coagchain.model import DELTA_MAX
 from coagchain.oneparticle import (DegenerateModeWarning, _secular_scaled,
                                    script_matrix_negative_spectrum)
 from coagchain.verify import run_verification
@@ -145,6 +147,45 @@ class TestSolveSecular:
         signs = np.sign(mant)
         assert np.all(signs != 0)
         assert np.all(signs[:-1] * signs[1:] == -1)
+
+
+class TestJacobiEntries:
+    def test_sizes_and_nonnegative_squares_random(self, rng):
+        # N - 1 diagonal entries and N - 2 squared couplings, none below 0,
+        # so solve_secular's square roots are real up to delta = DELTA_MAX
+        for _ in range(200):
+            deltas = tuple(10.0 ** rng.uniform(-3.0, math.log10(DELTA_MAX),
+                                               2))
+            spec = random_chain(rng, int(rng.integers(1, 30)),
+                                int(rng.integers(1, 30)), deltas)
+            diagonal, squares = jacobi_entries(spec)
+            assert len(diagonal) == spec.n_sites - 1
+            assert len(squares) == spec.n_sites - 2
+            assert all(c >= 0 for c in squares)
+
+    def test_roots_sum_to_trace(self, rng):
+        # the identity that makes an energy-sum vacuum energy no check:
+        # the secular roots are T's eigenvalues and sum to its trace
+        for _ in range(50):
+            spec = random_chain(rng, int(rng.integers(1, 30)),
+                                int(rng.integers(1, 30)))
+            diagonal, squares = jacobi_entries(spec)
+            roots = solve_secular(spec)
+            scale = (math.fsum(map(abs, diagonal))
+                     + 2 * math.fsum(map(math.sqrt, squares)))
+            assert abs(math.fsum(roots) - math.fsum(diagonal)) \
+                <= 1e-12 * scale
+
+    def test_zero_hopping_couplings_vanish(self):
+        # no entry divides: at p*q = 0 every squared coupling is exactly 0
+        # and the roots are T's diagonal
+        for rates in (RateTriple(0, 3, 1), RateTriple(2, 0, 1)):
+            spec = homogeneous_chain(rates, 3, 3)
+            diagonal, squares = jacobi_entries(spec)
+            assert squares == [0] * 4
+            assert diagonal[:2] == diagonal[-2:] == [2 * rates.f] * 2
+            assert np.array_equal(solve_secular(spec),
+                                  sorted(diagonal, reverse=True))
 
 
 class TestBlockMatrix:

@@ -52,6 +52,17 @@ class TestVacuumEnergy:
         assert np.all(sp.bulk_roots <= 0)
         spectral_gap(sp, vacuum_energy(spec), parity(spec))
 
+    def test_returns_closed_form_exactly(self):
+        # the first gap-impurity point, with its spectrum passed as the
+        # benchmark passes it: the spectrum is not read, so the result is
+        # the case analysis bit for bit (the summed energies are 9.4e-14
+        # off here, a relative error of 9e-7 in the gap -1.0038e-7)
+        spec = make_impurity_spec(L=60, theta=0.6, s=-0.5)
+        sp = one_particle_spectrum(spec)
+        assert spec.seg1.Q == spec.seg2.Q
+        assert vacuum_energy(spec, sp) == vacuum_energy(spec) \
+            == abs(spec.seg1.Q)
+
     def test_sum_route_is_closed_form_at_40_digits(self, rng):
         # the roots sum to tr T, where the (L_i - 1) f_i terms cancel: the
         # sum route is psi + (Q_bar + p_bar + q_bar)/2 - (edge1 + edge2)/2
