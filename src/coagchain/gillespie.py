@@ -3,10 +3,10 @@
 Events are read off the columns of the very same local operators that
 build the generator, so the simulator and the matrix machinery cannot
 disagree about rates.  Bonds that share an operator share its event
-table.  The sampler is the direct method: exponential waiting time at
-the total rate, then a linear scan over the bonds' total rates and a
-bisection of the chosen bond's cumulative rates.  A run is reproducible:
-it draws from one PCG64 stream seeded by the caller.
+table.  The sampler is the direct method: an exponential waiting time,
+then bisections of the running bond totals and of the chosen bond's
+cumulative rates; an event refreshes only its own and the two adjacent
+bond totals.  A run draws from one PCG64 stream seeded by the caller.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import SizeLimitError
 from .model import ChainSpec
 
 
@@ -98,6 +99,9 @@ class SimulationResult:
         """
         if self.absorbed or self.total_time <= 0:
             return {self.final_state.occupancy: 1.0}
+        if self.final_state.n_sites > _HISTOGRAM_MAX_SITES:
+            raise SizeLimitError(f"no histogram above {_HISTOGRAM_MAX_SITES} "
+                                 "sites: use density_profile()")
         return {c: w / self.total_time for c, w in self.config_weights.items()}
 
     def density_profile(self) -> np.ndarray:
@@ -118,51 +122,47 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
     n = spec.n_sites
     keep_hist = n <= _HISTOGRAM_MAX_SITES
     weights: dict[int, float] = {}
-    site_occ = np.zeros(n)
-    occ = initial.occupancy
-    t = initial.time
-    executed = 0
-    absorbed = False
-
-    def accumulate(config, dt):
-        if keep_hist:
-            weights[config] = weights.get(config, 0.0) + dt
-        else:
-            for k in range(n):
-                if (config >> (n - 1 - k)) & 1:
-                    site_occ[k] += dt
-
-    bond_range = range(1, n)
+    occ, t = initial.occupancy, initial.time
+    totals = [tables[j][_pair_of(occ, j + 1, n)][2] for j in range(n - 1)]
+    affected = [range(max(j - 1, 0), min(j + 2, n - 1)) for j in range(n - 1)]
+    since = [t] * n           # when each site last flipped
+    site_occ = [0.0] * n      # its occupied time before that flip
+    executed, absorbed = 0, False
     while executed < n_events:
-        totals = [tables[k - 1][_pair_of(occ, k, n)][2] for k in bond_range]
-        rate_sum = sum(totals)
+        cum_totals = list(accumulate(totals))
+        rate_sum = cum_totals[-1]
         if rate_sum == 0.0:
             absorbed = True
             break
         dt = rng.exponential() / rate_sum
         if t_max is not None and t + dt > t_max:
-            accumulate(occ, t_max - t)
+            if keep_hist:
+                weights[occ] = weights.get(occ, 0.0) + (t_max - t)
             t = t_max
             break
-        accumulate(occ, dt)
+        if keep_hist:
+            weights[occ] = weights.get(occ, 0.0) + dt
         t += dt
         u = rng.random() * rate_sum
-        bond = 1
-        while u > totals[bond - 1] and bond < n - 1:
-            u -= totals[bond - 1]
-            bond += 1
-        targets, cum, _ = tables[bond - 1][_pair_of(occ, bond, n)]
-        occ = _apply_pair(occ, bond, n, targets[bisect_right(cum, u)
-                                                if u < cum[-1] else len(cum) - 1])
+        b = bisect_right(cum_totals, u)  # bond b + 1, on sites b and b + 1
+        u -= cum_totals[b - 1] if b else 0.0
+        pair = (occ >> (n - 2 - b)) & 3  # _pair_of(occ, b + 1, n), inlined
+        targets, cum, _ = tables[b][pair]
+        new = targets[bisect_right(cum, u) if u < cum[-1] else len(cum) - 1]
+        for site, bit in ((b, 2), (b + 1, 1)):
+            if (pair ^ new) & bit:
+                if pair & bit:  # the site empties
+                    site_occ[site] += t - since[site]
+                since[site] = t
+        occ = _apply_pair(occ, b + 1, n, new)
+        for j in affected[b]:
+            totals[j] = tables[j][(occ >> (n - 2 - j)) & 3][2]
         executed += 1
 
-    if keep_hist:
-        for config, w in weights.items():
-            for k in range(n):
-                if (config >> (n - 1 - k)) & 1:
-                    site_occ[k] += w
+    final = LatticeState(occ, n, t)  # occupied sites add their last stretch
+    site_occ = np.add(site_occ, np.multiply(final.bits(), t - np.array(since)))
     return SimulationResult(weights, site_occ, t - initial.time, executed,
-                            absorbed, LatticeState(occ, n, t), seed)
+                            absorbed, final, seed)
 
 
 def total_variation(histogram: dict[int, float], exact: np.ndarray) -> float:

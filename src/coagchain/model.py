@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +59,9 @@ class RateTriple:
     All trigonometric quantities are derived rationally from ``delta``
     (with one square root), never through the angle itself: ``delta``
     equals ``tan(2*theta)**2``, so ``cos(2*theta) = 1/sqrt(1+delta)``.
-    Built from mpmath numbers, every derived value but ``mu`` is one too.
+    Built from mpmath numbers, every derived value but ``mu`` is one too;
+    built from Fractions, ``cos_2theta`` and the values formed from it are
+    exact where ``1 + delta`` is a rational square and refused elsewhere.
     """
 
     p: float
@@ -85,9 +88,17 @@ class RateTriple:
 
     @property
     def cos_2theta(self) -> float:
-        sqrt = (math.sqrt if isinstance(self.delta, _FLOATS)
-                else self.delta.context.sqrt)  # mpmath's, at its precision
-        return 1 / sqrt(1 + self.delta)
+        x = 1 + self.delta
+        if isinstance(x, _FLOATS):
+            return 1 / math.sqrt(x)
+        if not isinstance(x, Fraction):
+            return 1 / x.context.sqrt(x)  # mpmath's, at its precision
+        root = Fraction(math.isqrt(x.denominator), math.isqrt(x.numerator))
+        if root * root * x != 1:
+            raise ChainValidationError(
+                f"1 + delta = {x} is not the square of a rational, so "
+                "cos(2*theta) has no exact value")
+        return root
 
     @property
     def sin_theta_sq(self) -> float:

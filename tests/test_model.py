@@ -55,6 +55,23 @@ class TestRateTriple:
         r = RateTriple(*pqd)
         assert abs(r.cos_2theta * math.sqrt(1 + r.delta) - 1) < 1e-14
 
+    @pytest.mark.parametrize("delta, cos", [
+        (Fraction(3), Fraction(1, 2)), (Fraction(8), Fraction(1, 3)),
+        (Fraction(15), Fraction(1, 4)), (Fraction(5, 4), Fraction(2, 3)),
+        (Fraction(0), Fraction(1)),
+    ])
+    def test_exact_cos_of_fraction_rates(self, delta, cos):
+        r = RateTriple(Fraction(1, 2), Fraction(3), delta)
+        assert type(r.cos_2theta) is Fraction and r.cos_2theta == cos
+        assert r.sin_theta_sq == (1 - cos) / 2
+        assert r.cos_theta_sq == (1 + cos) / 2
+
+    @pytest.mark.parametrize("delta", [Fraction(1), Fraction(7, 3)])
+    def test_irrational_cos_of_fraction_rates_refused(self, delta):
+        r = RateTriple(Fraction(1, 2), Fraction(3), delta)
+        with pytest.raises(ChainValidationError, match="not the square"):
+            r.cos_2theta
+
 
 class TestBulkOperator:
     def test_symmetric_no_branching(self):
