@@ -8,8 +8,9 @@ The CLI maps these onto process exit codes:
   p*q = 0 in a segment, and every command-line usage error, which
   argparse reports itself;
 * 2 (internal consistency failure): ``ConsistencyError``, which includes
-  complex eigenvalues of the dense block matrix, and
-  ``DegenerateModeError``;
+  complex eigenvalues of the dense block matrix and a 2^N generator that
+  is not block triangular by runs of empty sites (the brute-force
+  oracle), and ``DegenerateModeError``;
 * 3 (size guard): ``SizeLimitError``.
 """
 

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import ChainValidationError, SizeLimitError
 from .model import ChainSpec
 
 
@@ -117,6 +117,10 @@ _HISTOGRAM_MAX_SITES = 16
 def run(spec: ChainSpec, initial: LatticeState, n_events: int,
         seed: int, t_max: float | None = None) -> SimulationResult:
     """Simulate up to ``n_events`` transitions (or ``t_max`` time units)."""
+    if initial.n_sites != spec.n_sites:
+        raise ChainValidationError(
+            f"initial state has {initial.n_sites} sites, the chain "
+            f"{spec.n_sites}")
     rng = np.random.default_rng(seed)
     tables = _bond_tables(spec)
     n = spec.n_sites

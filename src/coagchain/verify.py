@@ -11,8 +11,9 @@ allows ``model.ROUNDING`` times the summed magnitudes of its terms, the
 two decomposition identities (at 40 digits) 1e-30 times.
 The block one-particle matrix and the dense 2^N generator are each built
 once: the pairing and set-vs-matrix checks share the matrix's eigenvalues
-and the mode residuals use it; the trace identity, the brute-force oracle
-(the package's one dense verdict) and the simulator's target use G.
+and the mode residuals use it; the trace identity, the simulator's
+target and then the brute-force oracle (the package's one dense verdict,
+which overwrites G with its block-triangular form) use G.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
 
     par, omega = parity(spec), vacuum_energy(spec)
 
-    dim = 2 ** spec.n_sites
+    dim, simulation = 2 ** spec.n_sites, []
     if dim <= MAX_DENSE_DIM and (level == "full" or dim <= 512):
         gen = assemble_generator(spec)
         assembled = assemble_full_spectrum(spectrum, omega, par, spec.n_sites)
@@ -132,6 +133,9 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
             "trace identity",
             abs(float(np.trace(gen)) - float(np.sum(assembled))) / (scale or 1),
             ROUNDING, detail=f"relative, tolerance {ROUNDING:g}"))
+        # the simulator's target comes from G before the oracle overwrites it
+        if level == "full" and spec.n_sites <= 10:
+            simulation.append(_simulation_check(spec, gen))
         bf = brute_force_spectrum(gen)
         results.append(_check("brute-force spectrum real",
                               float(np.max(np.abs(bf.imag))), 1e-8))
@@ -152,9 +156,7 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
             "oracle multiset equivalence", True, None,
             f"skipped: N={spec.n_sites} too large for the dense oracle"))
 
-    if level == "full" and spec.n_sites <= 10:  # the oracle block ran
-        results.append(_simulation_check(spec, gen))
-    return results
+    return results + simulation
 
 
 def _simulation_check(spec: ChainSpec, gen: np.ndarray) -> CheckResult:

@@ -6,6 +6,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coagchain import (ChainSpec, JunctionRates, RateTriple,
                        build_impurity_junction, build_quench_junction,
@@ -81,6 +82,12 @@ def kron_generator(ops):
         total = total + np.kron(np.kron(np.eye(2 ** (k - 1)), op),
                                 np.eye(2 ** (n - k - 1)))
     return total
+
+
+def dense_eigvals(gen):
+    """Reference spectrum: plain ``scipy.linalg.eigvals`` of the whole
+    generator, with no use of its block-triangular form."""
+    return scipy.linalg.eigvals(gen)
 
 
 def random_rate_triple(rng, delta=None) -> RateTriple:

@@ -1,17 +1,22 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from coagchain import (RateTriple, SizeLimitError, assemble_generator, brute_force_spectrum,
-                       build_bulk_operator, edge_energies, homogeneous_chain,
-                       jacobi_entries, parity, solve_secular,
+from coagchain import (ConsistencyError, RateTriple, SizeLimitError,
+                       assemble_full_spectrum, assemble_generator,
+                       brute_force_spectrum, build_bulk_operator,
+                       edge_energies, homogeneous_chain, jacobi_entries,
+                       one_particle_spectrum, parity, solve_secular,
                        stationary_vectors, vacuum_energy)
+from coagchain.generator import _run_groups
 from coagchain.model import bulk_matrix, junction_matrix
-from conftest import (impurity_chain, kron_generator, make_benchmark_chain,
-                      make_impurity_spec, make_quench_spec, mp_chain,
-                      quench_chain, random_chain, sampler_events)
+from conftest import (dense_eigvals, impurity_chain, kron_generator,
+                      make_benchmark_chain, make_impurity_spec,
+                      make_quench_spec, mp_chain, quench_chain, random_chain,
+                      sampler_events)
 
 
 class TestIndexing:
@@ -108,6 +113,66 @@ class TestBruteForce:
         spec = homogeneous_chain(RateTriple(1, 1, 0), 7, 6)
         with pytest.raises(SizeLimitError):
             assemble_generator(spec)
+
+    def test_blocks_match_dense_eigvals(self, rng):
+        for _ in range(30):
+            spec = random_chain(rng, int(rng.integers(1, 5)),
+                                int(rng.integers(1, 5)))
+            gen = assemble_generator(spec)
+            scale = np.max(np.abs(gen))
+            ref = dense_eigvals(gen)
+            ev = brute_force_spectrum(gen)
+            assert len(ev) == len(ref) == 2 ** spec.n_sites
+            assert np.max(np.abs(np.sort(ev.real) - np.sort(ref.real))) \
+                <= 1e-12 * scale, spec
+            assert np.max(np.abs(ev.imag)) <= 1e-12 * scale, spec
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_run_group_sizes(self, n):
+        sizes = [len(g) for g in _run_groups(n)]
+        assert sizes == [math.comb(n + 1, 2 * r)
+                         for r in range(len(sizes))]
+        assert sum(sizes) == 2 ** n
+
+    def test_zero_hopping_chain_gets_assembled_spectrum(self):
+        # p = 0: G is defective and the dense eigensolver misses the
+        # assembled spectrum by 2e-3 max|G|; the blocks do not
+        spec = homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3)
+        gen = assemble_generator(spec)
+        scale = np.max(np.abs(gen))
+        assembled = assemble_full_spectrum(one_particle_spectrum(spec),
+                                           vacuum_energy(spec), parity(spec),
+                                           spec.n_sites)
+        ev = brute_force_spectrum(gen)
+        assert np.max(np.abs(ev.imag)) <= 1e-12 * scale
+        assert np.max(np.abs(np.sort(ev.real) - np.sort(assembled))) \
+            <= 1e-12 * scale
+
+    def test_broken_closure_raises(self):
+        # moving part of the (-+) -> (+-) hop to (-+) -> (--) keeps every
+        # column sum 0 but breaks m[1, 2] == m[1, 3], the empty-interval
+        # closure, in bond 2 (bond 1 has no site on its left, so its
+        # entries cannot join two runs of empty sites)
+        spec = make_impurity_spec(L=3, s=1.0)
+        ops = [spec.bond_operator(k).entries.copy()
+               for k in range(1, spec.n_sites)]
+        moved = 0.25 * ops[1][1, 2]
+        ops[1][1, 2] -= moved
+        ops[1][3, 2] += moved
+        assert np.max(np.abs(ops[1].sum(axis=0))) < 1e-12
+        with pytest.raises(ConsistencyError, match="block triangular"):
+            brute_force_spectrum(kron_generator(ops))
+
+    def test_overwrites_its_argument(self):
+        # the oracle works in place: no second array the size of G; an
+        # array in another memory order is copied, not misread
+        gen = assemble_generator(make_impurity_spec(L=2))
+        fortran = np.asfortranarray(gen)
+        before = gen.copy()
+        ev = brute_force_spectrum(gen)
+        assert not np.array_equal(gen, before)
+        assert np.array_equal(brute_force_spectrum(fortran), ev)
+        assert np.array_equal(fortran, before)
 
 
 class TestStationaryVectors:

@@ -4,9 +4,10 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from coagchain import (LatticeState, RateTriple, SizeLimitError,
-                       assemble_generator, gillespie, homogeneous_chain, model,
-                       run, stationary_vectors, total_variation)
+from coagchain import (ChainValidationError, LatticeState, RateTriple,
+                       SizeLimitError, assemble_generator, gillespie,
+                       homogeneous_chain, model, run, stationary_vectors,
+                       total_variation)
 from conftest import make_impurity_spec, make_quench_spec, sampler_events
 
 
@@ -133,6 +134,12 @@ class TestRun:
         assert res.n_events == 1
         assert res.final_state.occupancy in {
             occ for bond, occ, _ in sampler_events(spec, 0b0001)}
+
+    @pytest.mark.parametrize("n_sites", [6, 3])
+    def test_initial_state_of_another_size_refused(self, n_sites):
+        spec = make_impurity_spec(L=2, s=1.0)
+        with pytest.raises(ChainValidationError, match=f"{n_sites} sites"):
+            run(spec, LatticeState.full(n_sites), 50, seed=1)
 
     def test_density_profile_normalised(self):
         spec = make_quench_spec(L=2)
