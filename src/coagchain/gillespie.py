@@ -4,16 +4,22 @@ Events are read off the columns of the very same local operators that
 build the generator, so the simulator and the matrix machinery cannot
 disagree about rates.  Bonds that share an operator share its event
 table.  The sampler is the direct method: an exponential waiting time,
-then bisections of the running bond totals and of the chosen bond's
-cumulative rates; an event refreshes only its own and the two adjacent
-bond totals.  A run draws from one PCG64 stream seeded by the caller.
+then a bond, then one of its events by bisecting its cumulative rates.
+The bond totals sit in blocks of about sqrt(N) bonds (at least 32),
+each with its own running sums, under a running sum of the block sums;
+a bond is found by one bisection at each level, in O(sqrt N).  An event refreshes its own
+and the two adjacent bond totals, then rebuilds the running sums of the
+one or two blocks that hold them and the block level from those totals,
+never by differences, so no sum drifts and a zero rate sum is exact.  A
+run draws from one PCG64 stream seeded by the caller.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isqrt
 
 import numpy as np
 
@@ -88,6 +94,7 @@ class SimulationResult:
     total_time: float
     n_events: int
     absorbed: bool
+    stop: str                         # "budget", "t_max" or "absorbed"
     final_state: LatticeState
     seed: int
 
@@ -114,6 +121,17 @@ class SimulationResult:
 _HISTOGRAM_MAX_SITES = 16
 
 
+# below this many bonds one running sum costs less than two levels, and
+# a chain of up to 33 sites keeps the single-sum trajectory bit for bit
+_MIN_BLOCK = 32
+
+
+def _block_width(n_bonds: int) -> int:
+    """Bonds per block: ceil(sqrt(n_bonds)), and never fewer than
+    ``_MIN_BLOCK``."""
+    return max(_MIN_BLOCK, isqrt(n_bonds - 1) + 1)
+
+
 def run(spec: ChainSpec, initial: LatticeState, n_events: int,
         seed: int, t_max: float | None = None) -> SimulationResult:
     """Simulate up to ``n_events`` transitions (or ``t_max`` time units)."""
@@ -122,51 +140,90 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
             f"initial state has {initial.n_sites} sites, the chain "
             f"{spec.n_sites}")
     rng = np.random.default_rng(seed)
+    exponential, random = rng.exponential, rng.random
     tables = _bond_tables(spec)
     n = spec.n_sites
+    n_bonds = n - 1
+    last_bond = n_bonds - 1
+    width = _block_width(n_bonds)
+    # configuration weights by index, while the state space stays small
     keep_hist = n <= _HISTOGRAM_MAX_SITES
-    weights: dict[int, float] = {}
+    hist = [0.0] * (1 << n) if keep_hist else []
+    t_end = np.inf if t_max is None else t_max
     occ, t = initial.occupancy, initial.time
-    totals = [tables[j][_pair_of(occ, j + 1, n)][2] for j in range(n - 1)]
-    affected = [range(max(j - 1, 0), min(j + 2, n - 1)) for j in range(n - 1)]
+    # each bond's total rate by its pair, shared like the tables
+    pair_totals = {id(tb): [e[2] for e in tb] for tb in tables}
+    bond_totals = [pair_totals[id(tb)] for tb in tables]
+    totals = [bond_totals[j][_pair_of(occ, j + 1, n)] for j in range(n_bonds)]
+    # the one or two blocks that hold the totals an event on bond j refreshes
+    spans = [slice(s, s + width) for s in range(0, n_bonds, width)]
+    touched = [tuple(range(max(j - 1, 0) // width,
+                     min(j + 1, n_bonds - 1) // width + 1))
+               for j in range(n_bonds)]
+    runs = [[*accumulate(totals[span])] for span in spans]
+    block_sums = [r[-1] for r in runs]
+    prefix = [*accumulate(block_sums)]
     since = [t] * n           # when each site last flipped
     site_occ = [0.0] * n      # its occupied time before that flip
-    executed, absorbed = 0, False
-    while executed < n_events:
-        cum_totals = list(accumulate(totals))
-        rate_sum = cum_totals[-1]
+    stop = "budget"
+    for executed in range(n_events):
+        rate_sum = prefix[-1]
         if rate_sum == 0.0:
-            absorbed = True
+            stop = "absorbed"
             break
-        dt = rng.exponential() / rate_sum
-        if t_max is not None and t + dt > t_max:
+        dt = exponential() / rate_sum
+        if t + dt > t_end:
             if keep_hist:
-                weights[occ] = weights.get(occ, 0.0) + (t_max - t)
-            t = t_max
+                hist[occ] += t_end - t
+            t, stop = t_end, "t_max"
             break
         if keep_hist:
-            weights[occ] = weights.get(occ, 0.0) + dt
+            hist[occ] += dt
         t += dt
-        u = rng.random() * rate_sum
-        b = bisect_right(cum_totals, u)  # bond b + 1, on sites b and b + 1
-        u -= cum_totals[b - 1] if b else 0.0
-        pair = (occ >> (n - 2 - b)) & 3  # _pair_of(occ, b + 1, n), inlined
+        u = random() * rate_sum
+        k = bisect_right(prefix, u)
+        if k:
+            u -= prefix[k - 1]
+        run_k = runs[k]
+        # a remainder rounded up to the block's sum takes its last bond
+        # with events, never a zero-rate bond after it
+        i = (bisect_right(run_k, u) if u < run_k[-1]
+             else bisect_left(run_k, run_k[-1]))
+        if i:
+            u -= run_k[i - 1]
+        b = k * width + i  # bond b + 1, on sites b and b + 1
+        shift = n - 2 - b
+        pair = (occ >> shift) & 3  # _pair_of(occ, b + 1, n), inlined
         targets, cum, _ = tables[b][pair]
         new = targets[bisect_right(cum, u) if u < cum[-1] else len(cum) - 1]
-        for site, bit in ((b, 2), (b + 1, 1)):
-            if (pair ^ new) & bit:
-                if pair & bit:  # the site empties
-                    site_occ[site] += t - since[site]
-                since[site] = t
-        occ = _apply_pair(occ, b + 1, n, new)
-        for j in affected[b]:
-            totals[j] = tables[j][(occ >> (n - 2 - j)) & 3][2]
-        executed += 1
+        flips = pair ^ new
+        occ ^= flips << shift  # _apply_pair(occ, b + 1, n, new), inlined
+        totals[b] = bond_totals[b][new]
+        # a neighbouring bond's total changes only with its shared site
+        if flips & 2:
+            if pair & 2:  # site b empties
+                site_occ[b] += t - since[b]
+            since[b] = t
+            if b:
+                totals[b - 1] = bond_totals[b - 1][(occ >> (shift + 1)) & 3]
+        if flips & 1:
+            if pair & 1:  # site b + 1 empties
+                site_occ[b + 1] += t - since[b + 1]
+            since[b + 1] = t
+            if b < last_bond:
+                totals[b + 1] = bond_totals[b + 1][(occ >> (shift - 1)) & 3]
+        for k in touched[b]:
+            run_k = runs[k] = [*accumulate(totals[spans[k]])]
+            block_sums[k] = run_k[-1]
+        prefix = [*accumulate(block_sums)]
+    else:
+        executed = n_events
 
     final = LatticeState(occ, n, t)  # occupied sites add their last stretch
     site_occ = np.add(site_occ, np.multiply(final.bits(), t - np.array(since)))
+    weights = {c: w for c, w in enumerate(hist) if w}
     return SimulationResult(weights, site_occ, t - initial.time, executed,
-                            absorbed, final, seed)
+                            stop == "absorbed", stop, final, seed)
 
 
 def total_variation(histogram: dict[int, float], exact: np.ndarray) -> float:

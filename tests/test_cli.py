@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coagchain import save_chain
+from coagchain import LatticeState, run, save_chain
 from coagchain.cli import main
 from coagchain.sweeps import impurity_gap_sweep, quench_gap_sweep
 from conftest import impurity_chain, make_impurity_spec, make_quench_spec
@@ -352,6 +352,20 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1:] == ["1,1", "2,0", "3,0", "4,0", "5,0",
                                         "6,0"]
+
+    def test_stop_reason_on_stderr(self, impurity_file, capsys):
+        # a run that spends its event budget says nothing; one cut by
+        # --t-max says so, with the events it ran
+        assert main(["simulate", "--spec", impurity_file, "--events", "100",
+                     "--seed", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["simulate", "--spec", impurity_file, "--events", "1e9",
+                     "--seed", "3", "--t-max", "2"]) == 0
+        res = run(make_impurity_spec(L=2), LatticeState.full(4), 10 ** 9,
+                  seed=3, t_max=2.0)
+        assert res.stop == "t_max" and res.n_events > 0
+        assert capsys.readouterr().err == (
+            f"# t_max reached after {res.n_events} events\n")
 
     def test_bad_initial_state(self, impurity_file):
         assert main(["simulate", "--spec", impurity_file,

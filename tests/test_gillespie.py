@@ -1,4 +1,5 @@
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -164,24 +165,60 @@ class TestRun:
         assert len(built) <= 3 and len(tables) <= 3
 
 
-def reference_run(spec, initial, n_events, seed, t_max=None):
-    """``run`` without its incremental bookkeeping: every bond total is
-    recomputed before each event, and every occupied site adds each
-    waiting time.  The RNG draws and the accumulate/bisect selection are
-    the same, so the trajectory must be too."""
+def plain_sums(totals):
+    """The rate sum, and a picker of (bond, remainder) for a draw u in
+    [0, rate sum), over one running sum of all bond totals."""
+    cum = list(accumulate(totals))
+
+    def pick(u):
+        b = bisect_right(cum, u)
+        return b, u - cum[b - 1] if b else u
+    return cum[-1], pick
+
+
+def blocks_of(totals):
+    """Block width max(32, ceil(sqrt(N - 1))), each block's running sums
+    and the running sum of the block sums."""
+    w = max(32, math.ceil(math.sqrt(len(totals))))
+    runs = [list(accumulate(totals[s:s + w]))
+            for s in range(0, len(totals), w)]
+    return w, runs, list(accumulate(r[-1] for r in runs))
+
+
+def blocked_sums(totals):
+    """As ``plain_sums``, over blocks: a bisection of the block prefix,
+    then one inside the block."""
+    w, runs, prefix = blocks_of(totals)
+
+    def pick(u):
+        k = bisect_right(prefix, u)
+        if k:
+            u -= prefix[k - 1]
+        run_k = runs[k]
+        i = (bisect_right(run_k, u) if u < run_k[-1]
+             else bisect_left(run_k, run_k[-1]))
+        return k * w + i, u - run_k[i - 1] if i else u
+    return prefix[-1], pick
+
+
+def reference_run(spec, initial, n_events, seed, t_max=None,
+                  sums=plain_sums):
+    """``run`` without its incremental bookkeeping: every bond total and
+    every running sum is recomputed before each event, and every occupied
+    site adds each waiting time.  The RNG draws and the bond selection
+    ``sums`` are the same, so the trajectory must be too."""
     rng = np.random.default_rng(seed)
     tables = gillespie._bond_tables(spec)
     n = spec.n_sites
     occ, t = initial.occupancy, initial.time
     weights, site_occ = {}, np.zeros(n)
-    executed, absorbed = 0, False
+    executed, stop = 0, "budget"
     while executed < n_events:
-        cum_totals = list(accumulate(
+        rate_sum, pick = sums([
             tables[j][gillespie._pair_of(occ, j + 1, n)][2]
-            for j in range(n - 1)))
-        rate_sum = cum_totals[-1]
+            for j in range(n - 1)])
         if rate_sum == 0.0:
-            absorbed = True
+            stop = "absorbed"
             break
         dt = rng.exponential() / rate_sum
         past_t_max = t_max is not None and t + dt > t_max
@@ -191,29 +228,33 @@ def reference_run(spec, initial, n_events, seed, t_max=None):
             weights[occ] = weights.get(occ, 0.0) + dt
         site_occ += dt * np.array(LatticeState(occ, n).bits())
         if past_t_max:
-            t = t_max
+            t, stop = t_max, "t_max"
             break
         t += dt
-        u = rng.random() * rate_sum
-        b = bisect_right(cum_totals, u)
-        if b:
-            u -= cum_totals[b - 1]
+        b, u = pick(rng.random() * rate_sum)
         targets, cum, _ = tables[b][gillespie._pair_of(occ, b + 1, n)]
         new = targets[min(bisect_right(cum, u), len(cum) - 1)]
         occ = gillespie._apply_pair(occ, b + 1, n, new)
         executed += 1
-    return (LatticeState(occ, n, t), executed, absorbed, weights, site_occ,
+    return (LatticeState(occ, n, t), executed, stop, weights, site_occ,
             t - initial.time)
 
 
 class TestIncrementalBookkeeping:
-    @pytest.mark.parametrize("n", [8, 40])
+    @pytest.mark.parametrize("n", [8, 30, 40, 300])
     @pytest.mark.parametrize("stop", ["budget", "t_max", "absorbed"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_full_recomputation(self, n, stop, seed):
+        # up to 32 bonds one block holds them all, and the run draws the
+        # plain running sum's trajectory bit for bit; past that, the
+        # blocked one's
+        sums = plain_sums if n <= 33 else blocked_sums
         if stop == "absorbed":
-            # p = 0: every particle drifts to site 1 and merges there
-            spec = homogeneous_chain(RateTriple(0.0, 3.0, 1.0), n // 2, n // 2)
+            # p = 0: every particle drifts to site 1 and merges there; at
+            # 300 sites, without pair creation, in ~4k events, not ~36k
+            delta = 1.0 if n <= 40 else 0.0
+            spec = homogeneous_chain(RateTriple(0.0, 3.0, delta),
+                                     n // 2, n // 2)
             budget, t_max = 10 ** 6, None
         else:
             spec = make_impurity_spec(L=n // 2, s=1.0)
@@ -221,9 +262,10 @@ class TestIncrementalBookkeeping:
                              else (10 ** 6, 30.0 / n))
         initial = LatticeState.full(n)
         res = run(spec, initial, budget, seed=seed, t_max=t_max)
-        final, executed, absorbed, weights, site_occ, total = reference_run(
-            spec, initial, budget, seed, t_max)
-        assert res.absorbed == (stop == "absorbed") == absorbed
+        final, executed, ref_stop, weights, site_occ, total = reference_run(
+            spec, initial, budget, seed, t_max, sums)
+        assert res.stop == ref_stop == stop
+        assert res.absorbed == (stop == "absorbed")
         assert (res.n_events == budget) == (stop == "budget")
         assert (res.total_time == t_max) == (stop == "t_max")
         assert res.final_state == final
@@ -232,6 +274,18 @@ class TestIncrementalBookkeeping:
         assert res.total_time == total
         np.testing.assert_allclose(res.site_occupation, site_occ, rtol=0,
                                    atol=1e-12 * res.total_time)
+
+    def test_blocks_wider_than_32(self):
+        # 1089 bonds make 33 blocks of 33
+        n = 1090
+        spec = make_impurity_spec(L=n // 2, s=1.0)
+        initial = LatticeState.full(n)
+        res = run(spec, initial, 300, seed=1)
+        final, executed, stop, _, _, total = reference_run(
+            spec, initial, 300, 1, sums=blocked_sums)
+        assert res.stop == stop == "budget"
+        assert res.final_state == final
+        assert res.total_time == total
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_site_occupation_sums_config_weights(self, n):
@@ -242,3 +296,78 @@ class TestIncrementalBookkeeping:
             expected += w * np.array(LatticeState(config, n).bits())
         np.testing.assert_allclose(res.site_occupation, expected, rtol=0,
                                    atol=1e-12 * res.total_time)
+
+
+class FixedDraws:
+    """Stands in for the run's generator: unit waiting times, and ``u``
+    as every uniform draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def exponential(self):
+        return 1.0
+
+    def random(self):
+        return self.u
+
+
+class TestBlockBoundaries:
+    def test_draws_at_block_edges_pick_bonds_with_events(self, monkeypatch):
+        # one particle on site 289 of 300: blocks 0-7 have no events,
+        # block 8 only its last bond, block 9 only its first
+        n = 300
+        spec = make_impurity_spec(L=n // 2, s=1.0)
+        initial = LatticeState.from_bits([0] * 288 + [1] + [0] * 11)
+        events = sampler_events(spec, initial.occupancy)
+        bond_of = {occ: bond for bond, occ, _ in events}
+        assert set(bond_of.values()) == {288, 289}
+        tables = gillespie._bond_tables(spec)
+        w, runs, prefix = blocks_of([
+            tables[j][gillespie._pair_of(initial.occupancy, j + 1, n)][2]
+            for j in range(n - 1)])
+        assert w == 32 and prefix[7] == 0.0 < prefix[8] < prefix[9]
+        # every running sum, each block's offset by the sums before it
+        edges = [(base + c) / prefix[-1]
+                 for base, r in zip([0.0] + prefix[:-1], runs) for c in r
+                 if base + c < prefix[-1]]
+        draws = ([0.0, np.nextafter(1, 0)] + edges
+                 + [np.nextafter(e, 0) for e in edges if e > 0])
+        taken = set()
+        for u in draws:
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed, u=u: FixedDraws(u))
+            res = run(spec, initial, 1, seed=0)
+            assert res.n_events == 1
+            assert res.final_state.occupancy in bond_of
+            taken.add(bond_of[res.final_state.occupancy])
+        assert taken == {288, 289}
+
+    def test_remainder_rounded_to_the_block_sum_takes_its_last_bond(
+            self, monkeypatch):
+        # block 0 sums to 1.5 ulp(1), block 1 to s = 1 + 2 ulp(1) on its
+        # first bond alone.  The block prefix rounds 1 + 3.5 ulp(1) up to
+        # 1 + 4 ulp(1); a draw of 1 + 3 ulp(1) falls in block 1, and its
+        # remainder rounds (to even) up to s, past every bond of the block
+        # with events.  The next bond has none.
+        ulp = 2.0 ** -52
+        rates = [0.0] * 65
+        rates[31], rates[32] = 1.5 * ulp, 1 + 2 * ulp
+        tables = [[([source ^ 1], [r], r) if r else ([], [], 0.0)
+                   for source in range(4)] for r in rates]
+        monkeypatch.setattr(gillespie, "_bond_tables", lambda spec: tables)
+        _, runs, prefix = blocks_of(rates)
+        target = 1 + 3 * ulp
+        assert prefix == [rates[31], 1 + 4 * ulp, 1 + 4 * ulp]
+        assert target - prefix[0] == runs[1][-1]
+        u = target / prefix[-1]
+        while u * prefix[-1] != target:
+            u = np.nextafter(u, 0 if u * prefix[-1] > target else 1)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: FixedDraws(u))
+        spec = make_impurity_spec(L=33)
+        res = run(spec, LatticeState.empty(66), 1, seed=0)
+        assert res.n_events == 1
+        # bond 33 (index 32) flipped its right site, site 34
+        assert res.final_state.bits() == [0] * 33 + [1] + [0] * 32
+
