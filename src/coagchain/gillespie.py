@@ -134,11 +134,18 @@ def _block_width(n_bonds: int) -> int:
 
 def run(spec: ChainSpec, initial: LatticeState, n_events: int,
         seed: int, t_max: float | None = None) -> SimulationResult:
-    """Simulate up to ``n_events`` transitions (or ``t_max`` time units)."""
+    """Simulate up to ``n_events`` transitions, or until the clock reaches
+    the absolute time ``t_max`` (not a duration: a run from
+    ``initial.time`` = 1 with ``t_max`` = 3 lasts at most 2 time units).
+    Raises ``ChainValidationError`` when ``initial.time`` is past
+    ``t_max``."""
     if initial.n_sites != spec.n_sites:
         raise ChainValidationError(
             f"initial state has {initial.n_sites} sites, the chain "
             f"{spec.n_sites}")
+    if t_max is not None and initial.time > t_max:
+        raise ChainValidationError(
+            f"initial time {initial.time} is past t_max = {t_max}")
     rng = np.random.default_rng(seed)
     exponential, random = rng.exponential, rng.random
     tables = _bond_tables(spec)

@@ -12,8 +12,13 @@ two decomposition identities (at 40 digits) 1e-30 times.
 The block one-particle matrix and the dense 2^N generator are each built
 once: the pairing and set-vs-matrix checks share the matrix's eigenvalues
 and the mode residuals use it; the trace identity, the simulator's
-target and then the brute-force oracle (the package's one dense verdict,
-which overwrites G with its block-triangular form) use G.
+target (block substitution on a copy of G) and then the brute-force
+oracle (the package's one dense verdict, which overwrites G with its
+block-triangular form) use G.  The oracle's eigenvalues are real by
+construction; "block symmetry" reports its cycle defect, or fails with
+the message when G's run-count blocks cannot be symmetrised.  No dense
+step raises out of the battery: a ``ConsistencyError`` there becomes a
+failed check.
 """
 
 from __future__ import annotations
@@ -136,15 +141,21 @@ def run_verification(spec: ChainSpec, level: str = "full") -> list[CheckResult]:
         # the simulator's target comes from G before the oracle overwrites it
         if level == "full" and spec.n_sites <= 10:
             simulation.append(_simulation_check(spec, gen))
-        bf = brute_force_spectrum(gen)
-        results.append(_check("brute-force spectrum real",
-                              float(np.max(np.abs(bf.imag))), 1e-8))
+        try:
+            bf, defect = brute_force_spectrum(gen)
+        except ConsistencyError as exc:
+            results.append(CheckResult("block symmetry", False, None,
+                                       str(exc)))
+            return results + simulation
+        results.append(CheckResult(
+            "block symmetry", True, defect,
+            "cycle defect in log weight, within its rounding bound"))
         results.append(_check(
             "oracle multiset equivalence",
-            float(np.max(np.abs(np.sort(bf.real) - np.sort(assembled)))), 1e-8,
+            float(np.max(np.abs(bf[::-1] - np.sort(assembled)))), 1e-8,
             detail=f"parity {par}"))
-        nonzero = bf.real[np.abs(bf.real) > 1e-10 * max(1.0, abs(bf.real.min()))]
-        bf_gap = float(nonzero.max()) if len(nonzero) else 0.0
+        nonzero = bf[np.abs(bf) > 1e-10 * max(1.0, abs(bf[-1]))]
+        bf_gap = float(nonzero[0]) if len(nonzero) else 0.0
         try:
             gap = spectral_gap(spectrum, omega, par).gap
         except ConsistencyError:  # no nonzero eigenvalue: 0.0, as bf_gap
@@ -164,21 +175,23 @@ def _simulation_check(spec: ChainSpec, gen: np.ndarray) -> CheckResult:
     ``gen``, the chain's dense generator.
 
     Runs from the fully occupied lattice.  A junction that creates no
-    particles from an empty pair leaves the empty lattice absorbing, so the
-    null space is 2-dimensional and the target is its vector with no
-    empty-lattice weight; otherwise the null space is one vector, the
-    target.  Either way the target is normalised by its sum.  An absorbed
-    run (p*q = 0 chains have such states) has the point mass on its final
-    state as its histogram.
+    particles from an empty pair leaves the empty lattice absorbing, so
+    ``stationary_vectors`` gives two vectors, the occupied sector's state
+    and the empty-lattice point mass; otherwise it gives one.  Either way
+    the target is the first, normalised by its sum.  An absorbed run
+    (p*q = 0 chains have such states) has the point mass on its final
+    state as its histogram.  A singular diagonal block of G's run-count
+    form (a frozen segment) fails the check with its message.
     """
-    basis = stationary_vectors(gen)
+    try:
+        basis = stationary_vectors(gen)
+    except ConsistencyError as exc:
+        return CheckResult("simulator stationarity", False, None, str(exc))
     absorbing = spec.bond_operator(spec.L1).preserves_vacuum
     if len(basis) != (2 if absorbing else 1):
         return CheckResult("simulator stationarity", False, None,
                            f"{len(basis)}-dimensional null space")
     target = basis[0]
-    if absorbing:
-        target = basis[1][0] * basis[0] - basis[0][0] * basis[1]
     result = gillespie.run(spec, gillespie.LatticeState.full(spec.n_sites),
                            _SIM_EVENTS, seed=_SIM_SEED)
     tv = gillespie.total_variation(result.histogram(), target / target.sum())

@@ -4,15 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
-from coagchain import (ConsistencyError, RateTriple, SizeLimitError,
-                       assemble_full_spectrum, assemble_generator,
-                       brute_force_spectrum, build_bulk_operator,
-                       edge_energies, homogeneous_chain, jacobi_entries,
-                       one_particle_spectrum, parity, solve_secular,
-                       stationary_vectors, vacuum_energy)
+from coagchain import (ChainSpec, ConsistencyError, RateTriple,
+                       SizeLimitError, assemble_full_spectrum,
+                       assemble_generator, brute_force_spectrum,
+                       build_bulk_operator, edge_energies, homogeneous_chain,
+                       jacobi_entries, one_particle_spectrum, parity,
+                       solve_secular, stationary_vectors, vacuum_energy)
 from coagchain.generator import _run_groups
-from coagchain.model import bulk_matrix, junction_matrix
+from coagchain.model import JunctionRates, bulk_matrix, junction_matrix
 from conftest import (dense_eigvals, impurity_chain, kron_generator,
                       make_benchmark_chain, make_impurity_spec,
                       make_quench_spec, mp_chain, quench_chain, random_chain,
@@ -94,20 +95,21 @@ class TestAssembly:
 class TestBruteForce:
     def test_two_site_symmetric_spectrum(self):
         gen = assemble_generator(homogeneous_chain(RateTriple(1, 1, 0), 1, 1))
-        ev = np.sort(brute_force_spectrum(gen).real)
-        np.testing.assert_allclose(ev, [-2, -2, 0, 0], atol=1e-12)
+        ev, _ = brute_force_spectrum(gen)
+        np.testing.assert_allclose(ev, [0, 0, -2, -2], atol=1e-12)
 
     def test_generator_spectrum_in_left_half_plane(self, rng):
         for _ in range(5):
             spec = random_chain(rng)
-            ev = brute_force_spectrum(assemble_generator(spec))
-            assert ev.real.max() < 1e-10
-            assert abs(ev.real.max()) < 1e-10  # zero eigenvalue present
+            ev, _ = brute_force_spectrum(assemble_generator(spec))
+            assert abs(ev[0]) < 1e-10  # the largest is the zero eigenvalue
 
     def test_impurity_spectrum_real(self):
+        # real by construction, and in descending order
         spec = make_impurity_spec(L=3)
-        ev = brute_force_spectrum(assemble_generator(spec))
-        assert np.max(np.abs(ev.imag)) < 1e-8
+        ev, _ = brute_force_spectrum(assemble_generator(spec))
+        assert ev.dtype == np.float64
+        assert np.all(np.diff(ev) <= 0)
 
     def test_dense_guard(self):
         spec = homogeneous_chain(RateTriple(1, 1, 0), 7, 6)
@@ -121,11 +123,25 @@ class TestBruteForce:
             gen = assemble_generator(spec)
             scale = np.max(np.abs(gen))
             ref = dense_eigvals(gen)
-            ev = brute_force_spectrum(gen)
+            ev, _ = brute_force_spectrum(gen)
             assert len(ev) == len(ref) == 2 ** spec.n_sites
-            assert np.max(np.abs(np.sort(ev.real) - np.sort(ref.real))) \
+            assert np.max(np.abs(ev[::-1] - np.sort(ref.real))) \
                 <= 1e-12 * scale, spec
-            assert np.max(np.abs(ev.imag)) <= 1e-12 * scale, spec
+            assert ev.dtype == np.float64 and np.all(np.diff(ev) <= 0)
+
+    def test_symmetric_blocks_match_dense_eigvals_at_large_delta(self, rng):
+        # the symmetrised blocks against plain eigvals of the whole G, on
+        # chains whose rates span several orders of magnitude
+        for _ in range(10):
+            spec = random_chain(rng, int(rng.integers(1, 5)),
+                                int(rng.integers(1, 5)),
+                                deltas=(float(rng.uniform(10, 100)), None))
+            gen = assemble_generator(spec)
+            scale = np.max(np.abs(gen))
+            ref = np.sort(dense_eigvals(gen).real)[::-1]
+            ev, defect = brute_force_spectrum(gen)
+            assert np.max(np.abs(ev - ref)) <= 1e-12 * scale, spec
+            assert defect <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_run_group_sizes(self, n):
@@ -143,9 +159,8 @@ class TestBruteForce:
         assembled = assemble_full_spectrum(one_particle_spectrum(spec),
                                            vacuum_energy(spec), parity(spec),
                                            spec.n_sites)
-        ev = brute_force_spectrum(gen)
-        assert np.max(np.abs(ev.imag)) <= 1e-12 * scale
-        assert np.max(np.abs(np.sort(ev.real) - np.sort(assembled))) \
+        ev, _ = brute_force_spectrum(gen)
+        assert np.max(np.abs(ev[::-1] - np.sort(assembled))) \
             <= 1e-12 * scale
 
     def test_broken_closure_raises(self):
@@ -163,15 +178,57 @@ class TestBruteForce:
         with pytest.raises(ConsistencyError, match="block triangular"):
             brute_force_spectrum(kron_generator(ops))
 
+    @pytest.mark.parametrize("family", ["impurity", "quench"])
+    def test_one_scaled_entry_fails(self, family):
+        # one rate of G scaled by 1 + 1e-9 moves no eigenvalue by more
+        # than the multiset tolerance, but breaks a column sum: the row of
+        # total probability gets an entry above the diagonal blocks
+        gen = assemble_generator(make_benchmark_chain(family, 8))
+        gen[0b10110100, 0b01110100] *= 1 + 1e-9  # a hop on bond 1
+        assert gen[0b10110100, 0b01110100] > 0
+        with pytest.raises(ConsistencyError, match="block triangular"):
+            brute_force_spectrum(gen)
+
+    @staticmethod
+    def from_run_count_form(group1):
+        """The n = 2 generator G = F^-1 B F whose B has the 3x3 block
+        ``group1`` for run group 1 and zeros elsewhere."""
+        f = np.kron([[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]])
+        b = np.zeros((4, 4))
+        b[np.ix_(_run_groups(2)[1], _run_groups(2)[1])] = group1
+        return np.linalg.solve(f, b @ f)
+
+    @pytest.mark.parametrize("group1, message", [
+        # products around the cycle 0 -> 1 -> 2 -> 0: 2 one way, 0.5 back
+        ([[-2, 1, 1], [1, -2, 2], [1, 0.5, -2]], "cycle criterion"),
+        ([[-2, 1, 0], [-1, -2, 0], [0, 0, -1]], "opposite signs"),
+        # 0 -> 2 one way, inside the two-way component {0, 1, 2}
+        ([[-2, 1, 1], [1, -2, 1], [0, 1, -2]], "one-way edges"),
+        # 0 -> 1 and 1 -> 0 on separate one-way edges via 2
+        ([[-2, 1, 0], [0, -2, 1], [1, 0, -2]], "one-way edges"),
+    ], ids=["cycle", "signs", "one-way-inside", "one-way-cycle"])
+    def test_unsymmetrisable_block_raises(self, group1, message):
+        with pytest.raises(ConsistencyError, match=message):
+            brute_force_spectrum(self.from_run_count_form(group1))
+
+    def test_one_way_edges_between_components_keep_the_spectrum(self):
+        # a block triangular by its one-way edge: S drops the edge and
+        # keeps the eigenvalues
+        group1 = [[-2.0, 1.0, 0.0], [1.0, -3.0, 0.0], [0.5, 0.0, -1.0]]
+        ev, defect = brute_force_spectrum(self.from_run_count_form(group1))
+        ref = np.sort(np.append(np.linalg.eigvals(group1).real, 0.0))[::-1]
+        np.testing.assert_allclose(ev, ref, atol=1e-14)
+        assert defect == 0.0
+
     def test_overwrites_its_argument(self):
         # the oracle works in place: no second array the size of G; an
         # array in another memory order is copied, not misread
         gen = assemble_generator(make_impurity_spec(L=2))
         fortran = np.asfortranarray(gen)
         before = gen.copy()
-        ev = brute_force_spectrum(gen)
+        ev, _ = brute_force_spectrum(gen)
         assert not np.array_equal(gen, before)
-        assert np.array_equal(brute_force_spectrum(fortran), ev)
+        assert np.array_equal(brute_force_spectrum(fortran)[0], ev)
         assert np.array_equal(fortran, before)
 
 
@@ -180,6 +237,40 @@ class TestStationaryVectors:
         spec = homogeneous_chain(RateTriple(0.5, 3.0, 1.0), 2, 2)
         basis = stationary_vectors(assemble_generator(spec))
         assert len(basis) == 2
+
+    @pytest.mark.parametrize("spec", [
+        make_benchmark_chain("impurity", 6),
+        make_benchmark_chain("impurity", 8),
+        make_benchmark_chain("quench", 6),
+        make_benchmark_chain("quench", 8),
+        quench_chain(RateTriple(0.0, 6.0, 1.0), RateTriple(6.0, 0.2, 1.3), 3),
+        quench_chain(RateTriple(0.0, 6.0, 1.0), RateTriple(6.0, 0.2, 1.3), 4),
+    ], ids=["impurity-6", "impurity-8", "quench-6", "quench-8",
+            "quench-p1-0-6", "quench-p1-0-8"])
+    def test_substitution_matches_null_space(self, spec):
+        # the SVD null space, with no weight on the empty lattice when it
+        # is absorbing, normalised by its sum
+        gen = assemble_generator(spec)
+        before = gen.copy()
+        basis = stationary_vectors(gen)
+        assert np.array_equal(gen, before)
+        ref = scipy.linalg.null_space(gen, rcond=1e-9)
+        absorbing = spec.bond_operator(spec.L1).preserves_vacuum
+        assert len(basis) == ref.shape[1] == (2 if absorbing else 1)
+        ref = (ref[0, 1] * ref[:, 0] - ref[0, 0] * ref[:, 1] if absorbing
+               else ref[:, 0])
+        assert np.max(np.abs(basis[0] - ref / ref.sum())) <= 1e-12
+        if absorbing:
+            assert basis[0][0] == 0.0
+            assert basis[1].tolist() == [1.0] + [0.0] * (len(gen) - 1)
+
+    def test_frozen_segment_raises(self):
+        # p = q = 0 in segment 2: its configurations do not move, and the
+        # run-count block of one empty run is singular
+        spec = ChainSpec(2, 2, RateTriple(0.5, 3.0, 1.0),
+                         RateTriple(0.0, 0.0, 1.0), JunctionRates(1.0, 1.0, 1.0))
+        with pytest.raises(ConsistencyError, match="singular"):
+            stationary_vectors(assemble_generator(spec))
 
     def test_empty_config_in_kernel(self):
         spec = make_impurity_spec(L=2)

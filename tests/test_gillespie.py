@@ -90,14 +90,9 @@ class TestRun:
 
     def test_histogram_converges_to_stationary(self):
         spec = make_impurity_spec(L=2, s=-0.1)
-        gen = assemble_generator(spec)
-        basis = stationary_vectors(gen)
-        # stationary state of the occupied class: null combination with no
-        # weight on the empty configuration
-        v0, v1 = basis
-        target = v0 - (v0[0] / v1[0]) * v1 if abs(v1[0]) > 1e-12 else v0
-        target = np.clip(target, 0, None)
-        target /= target.sum()
+        # stationary state of the occupied class, with no weight on the
+        # empty configuration
+        target = stationary_vectors(assemble_generator(spec))[0]
         tvs = []
         for n in (3_000, 30_000, 300_000):
             res = run(spec, LatticeState.full(4), n, seed=5)
@@ -109,6 +104,23 @@ class TestRun:
         spec = make_quench_spec(L=2)
         res = run(spec, LatticeState.full(4), 10 ** 9, seed=3, t_max=1.5)
         assert res.total_time == pytest.approx(1.5)
+
+    def test_t_max_is_an_absolute_time(self):
+        # a run from time 1 with t_max = 1.5 lasts 0.5 and ends at 1.5
+        spec = make_quench_spec(L=2)
+        res = run(spec, LatticeState(15, 4, 1.0), 10 ** 9, seed=3, t_max=1.5)
+        assert res.stop == "t_max"
+        assert res.final_state.time == 1.5
+        assert res.total_time == pytest.approx(0.5)
+
+    def test_initial_time_past_t_max_raises(self):
+        spec = make_impurity_spec(L=2)
+        with pytest.raises(ChainValidationError, match="past t_max"):
+            run(spec, LatticeState(15, 4, 5.0), 100, seed=1, t_max=2.0)
+        # starting exactly at t_max is a run of length 0
+        res = run(spec, LatticeState(15, 4, 2.0), 100, seed=1, t_max=2.0)
+        assert res.total_time == 0.0 and res.n_events == 0
+        assert res.density_profile().tolist() == [1, 1, 1, 1]
 
     def test_histogram_refused_above_size_limit(self):
         # a 20-site run keeps no configuration weights, so it has no

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import coagchain
-from coagchain import (ChainSpec, RateTriple, assemble_generator,
-                       build_quench_junction, homogeneous_chain, oneparticle,
-                       spins, verify)
+from coagchain import (ChainSpec, JunctionRates, RateTriple,
+                       assemble_generator, build_quench_junction,
+                       homogeneous_chain, oneparticle, spins, verify)
 from coagchain.spectrum import vacuum_energy
 from conftest import (make_benchmark_chain, make_impurity_spec,
                       make_quench_spec)
@@ -67,7 +67,50 @@ def test_frozen_chain_runs_to_the_end():
     spec = homogeneous_chain(RateTriple(0.0, 0.0, 1.0), 2, 2)
     found = verdicts(spec, "full")
     assert found["trace identity"] and found["gap vs brute force"]
-    assert not found["simulator stationarity"]  # 16-dimensional null space
+    # a 16-dimensional null space: every diagonal block of B is singular
+    assert not found["simulator stationarity"]
+
+
+def test_frozen_segment_fails_the_simulator_check():
+    # p = q = 0 in segment 2 only: a singular diagonal block, reported
+    spec = ChainSpec(2, 2, RateTriple(0.5, 3.0, 1.0),
+                     RateTriple(0.0, 0.0, 1.0), JunctionRates(1.0, 1.0, 1.0))
+    (result,) = [r for r in verify.run_verification(spec, "full")
+                 if r.name == "simulator stationarity"]
+    assert not result.passed
+    assert "singular" in result.detail
+
+
+@pytest.mark.parametrize("theta, n_sites", [(0.6, 12), (0.78, 8), (0.78, 10)])
+def test_dense_oracle_resolves_impurity_chains(theta, n_sites):
+    # the chains whose non-normal blocks once missed the assembled
+    # spectrum by up to 83; the 1e-8 tolerances are unchanged
+    spec = make_impurity_spec(n_sites // 2, theta=theta, s=1.0)
+    results = verify.run_verification(spec, "full")
+    assert [r for r in results if not r.passed] == []
+    names = {r.name for r in results}
+    assert {"block symmetry", "oracle multiset equivalence",
+            "gap vs brute force"} <= names
+    assert "brute-force spectrum real" not in names
+
+
+def test_scaled_generator_entry_fails_without_raising(monkeypatch):
+    # one rate of G scaled by 1 + 1e-9: the oracle's structure check
+    # fails as a check, and the battery still reports every other check
+    spec = make_benchmark_chain("impurity", 8)
+
+    def scaled(spec):
+        gen = assemble_generator(spec)
+        gen[0b10110100, 0b01110100] *= 1 + 1e-9
+        return gen
+
+    monkeypatch.setattr(verify, "assemble_generator", scaled)
+    monkeypatch.setattr(verify, "_SIM_EVENTS", 1_000)
+    results = {r.name: r for r in verify.run_verification(spec, "full")}
+    assert not results["block symmetry"].passed
+    assert "block triangular" in results["block symmetry"].detail
+    assert not results["simulator stationarity"].passed
+    assert results["trace identity"].passed
 
 
 @pytest.mark.parametrize("dim", [1, 3])
