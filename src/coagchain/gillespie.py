@@ -7,11 +7,17 @@ table.  The sampler is the direct method: an exponential waiting time,
 then a bond, then one of its events by bisecting its cumulative rates.
 The bond totals sit in blocks of about sqrt(N) bonds (at least 32),
 each with its own running sums, under a running sum of the block sums;
-a bond is found by one bisection at each level, in O(sqrt N).  An event refreshes its own
-and the two adjacent bond totals, then rebuilds the running sums of the
-one or two blocks that hold them and the block level from those totals,
-never by differences, so no sum drifts and a zero rate sum is exact.  A
-run draws from one PCG64 stream seeded by the caller.
+a bond is found by one bisection at each level, in O(sqrt N).  An event
+refreshes its own and the two adjacent bond totals, then rebuilds the
+running sums of the one or two blocks that hold them and the block
+level from those totals, never by differences, so no sum drifts and a
+zero rate sum is exact.
+
+A run draws from one PCG64 stream seeded by the caller, in fixed blocks:
+1024 unit exponentials, then 1024 uniforms, and the next two blocks
+when those run out.  Event i takes the i-th waiting time and the i-th
+uniform.  The block size never depends on the event budget, so a run's
+first n events are the same under every budget of at least n.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
+from time import perf_counter
 
 import numpy as np
 
@@ -97,6 +104,11 @@ class SimulationResult:
     stop: str                         # "budget", "t_max" or "absorbed"
     final_state: LatticeState
     seed: int
+    seconds: float                    # the event loop's wall time
+
+    @property
+    def events_per_s(self) -> float:
+        return self.n_events / self.seconds if self.seconds > 0 else 0.0
 
     def histogram(self) -> dict[int, float]:
         """Configuration weights normalized to a probability distribution.
@@ -119,6 +131,11 @@ class SimulationResult:
 
 # track per-config weights only while the state space stays enumerable
 _HISTOGRAM_MAX_SITES = 16
+
+
+# exponentials, then uniforms, per draw from the run's stream; fixed, so
+# a run's first events do not depend on its budget
+_DRAW_BLOCK = 1024
 
 
 # below this many bonds one running sum costs less than two levels, and
@@ -147,7 +164,6 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
         raise ChainValidationError(
             f"initial time {initial.time} is past t_max = {t_max}")
     rng = np.random.default_rng(seed)
-    exponential, random = rng.exponential, rng.random
     tables = _bond_tables(spec)
     n = spec.n_sites
     n_bonds = n - 1
@@ -173,12 +189,17 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
     since = [t] * n           # when each site last flipped
     site_occ = [0.0] * n      # its occupied time before that flip
     stop = "budget"
+    start = perf_counter()
     for executed in range(n_events):
         rate_sum = prefix[-1]
         if rate_sum == 0.0:
             stop = "absorbed"
             break
-        dt = exponential() / rate_sum
+        d = executed % _DRAW_BLOCK
+        if not d:
+            waits = rng.standard_exponential(_DRAW_BLOCK).tolist()
+            uniforms = rng.random(_DRAW_BLOCK).tolist()
+        dt = waits[d] / rate_sum
         if t + dt > t_end:
             if keep_hist:
                 hist[occ] += t_end - t
@@ -187,7 +208,7 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
         if keep_hist:
             hist[occ] += dt
         t += dt
-        u = random() * rate_sum
+        u = uniforms[d] * rate_sum
         k = bisect_right(prefix, u)
         if k:
             u -= prefix[k - 1]
@@ -225,12 +246,13 @@ def run(spec: ChainSpec, initial: LatticeState, n_events: int,
         prefix = [*accumulate(block_sums)]
     else:
         executed = n_events
+    seconds = perf_counter() - start
 
     final = LatticeState(occ, n, t)  # occupied sites add their last stretch
     site_occ = np.add(site_occ, np.multiply(final.bits(), t - np.array(since)))
     weights = {c: w for c, w in enumerate(hist) if w}
     return SimulationResult(weights, site_occ, t - initial.time, executed,
-                            stop == "absorbed", stop, final, seed)
+                            stop == "absorbed", stop, final, seed, seconds)
 
 
 def total_variation(histogram: dict[int, float], exact: np.ndarray) -> float:

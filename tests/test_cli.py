@@ -338,7 +338,7 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 6
 
     def test_absorbed_run_reports_its_final_state(self, tmp_path, capsys):
-        # p = 0: this run is absorbed in 100000 after 8 of 1000 events
+        # p = 0: this run is absorbed in 100000 after 26 of 1000 events
         from coagchain import RateTriple, homogeneous_chain
         path = tmp_path / "p0.json"
         save_chain(homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3), path)
@@ -346,7 +346,7 @@ class TestSimulateCommand:
                      "--seed", "1"]) == 0
         out, err = capsys.readouterr()
         assert out.splitlines() == ["config,weight", "100000,1"]
-        assert err == "# absorbed after 8 events\n"
+        assert err == "# absorbed after 26 events\n"
         assert main(["simulate", "--spec", str(path), "--events", "1000",
                      "--seed", "1", "--profile"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,6 @@
+import inspect
 import math
+import textwrap
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
@@ -9,7 +11,8 @@ from coagchain import (ChainValidationError, LatticeState, RateTriple,
                        SizeLimitError, assemble_generator, gillespie,
                        homogeneous_chain, model, run, stationary_vectors,
                        total_variation)
-from conftest import make_impurity_spec, make_quench_spec, sampler_events
+from conftest import (make_benchmark_chain, make_impurity_spec,
+                      make_quench_spec, sampler_events)
 
 
 class TestEnabledEvents:
@@ -76,10 +79,27 @@ class TestRun:
         # p = 0: particles only move left, so site 1 ends up holding one
         spec = homogeneous_chain(RateTriple(0.0, 3.0, 1.0), 3, 3)
         result = run(spec, LatticeState.full(6), 1000, seed=1)
-        assert result.absorbed and result.n_events == 8
+        assert result.absorbed and result.n_events == 26
         assert result.final_state.bits() == [1, 0, 0, 0, 0, 0]
         assert result.histogram() == {0b100000: 1.0}
         assert result.density_profile().tolist() == [1, 0, 0, 0, 0, 0]
+
+    def test_shorter_budget_is_a_prefix(self):
+        # 1500 events cross the first block of 1024 draws; a run of 3000
+        # cut at the short run's final time has made the same 1500 events
+        spec = make_benchmark_chain("impurity", 8)
+        short = run(spec, LatticeState.full(8), 1_500, seed=6)
+        cut = run(spec, LatticeState.full(8), 3_000, seed=6,
+                  t_max=short.final_state.time)
+        assert short.stop == "budget" and cut.stop == "t_max"
+        assert cut.n_events == 1_500
+        assert cut.final_state == short.final_state
+        assert cut.config_weights == short.config_weights
+
+    def test_events_per_second(self):
+        res = run(make_quench_spec(L=2), LatticeState.full(4), 2_000, seed=1)
+        assert res.stop == "budget" and res.seconds > 0
+        assert res.events_per_s == res.n_events / res.seconds > 0
 
     def test_deterministic_replay(self):
         spec = make_impurity_spec(L=2)
@@ -136,11 +156,11 @@ class TestRun:
         # rng.random() can return exactly 0.0; from 0001 only bond 3 has
         # events, and the run must take one of them
         class Draws:
-            def exponential(self):
-                return 1.0
+            def standard_exponential(self, size):
+                return np.ones(size)
 
-            def random(self):
-                return 0.0
+            def random(self, size):
+                return np.zeros(size)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
         spec = make_impurity_spec(L=2)
         res = run(spec, LatticeState.from_bits([0, 0, 0, 1]), 1, seed=0)
@@ -213,13 +233,22 @@ def blocked_sums(totals):
     return prefix[-1], pick
 
 
+def block_draws(seed):
+    """The run's draw contract: from one PCG64 stream, blocks of 1024 unit
+    exponentials then 1024 uniforms, as (waiting time, uniform) pairs."""
+    rng = np.random.default_rng(seed)
+    while True:
+        waits = rng.standard_exponential(1024).tolist()
+        yield from zip(waits, rng.random(1024).tolist())
+
+
 def reference_run(spec, initial, n_events, seed, t_max=None,
                   sums=plain_sums):
     """``run`` without its incremental bookkeeping: every bond total and
     every running sum is recomputed before each event, and every occupied
     site adds each waiting time.  The RNG draws and the bond selection
     ``sums`` are the same, so the trajectory must be too."""
-    rng = np.random.default_rng(seed)
+    draws = block_draws(seed)
     tables = gillespie._bond_tables(spec)
     n = spec.n_sites
     occ, t = initial.occupancy, initial.time
@@ -232,7 +261,8 @@ def reference_run(spec, initial, n_events, seed, t_max=None,
         if rate_sum == 0.0:
             stop = "absorbed"
             break
-        dt = rng.exponential() / rate_sum
+        wait, uniform = next(draws)
+        dt = wait / rate_sum
         past_t_max = t_max is not None and t + dt > t_max
         if past_t_max:
             dt = t_max - t
@@ -243,7 +273,7 @@ def reference_run(spec, initial, n_events, seed, t_max=None,
             t, stop = t_max, "t_max"
             break
         t += dt
-        b, u = pick(rng.random() * rate_sum)
+        b, u = pick(uniform * rate_sum)
         targets, cum, _ = tables[b][gillespie._pair_of(occ, b + 1, n)]
         new = targets[min(bisect_right(cum, u), len(cum) - 1)]
         occ = gillespie._apply_pair(occ, b + 1, n, new)
@@ -317,11 +347,11 @@ class FixedDraws:
     def __init__(self, u):
         self.u = u
 
-    def exponential(self):
-        return 1.0
+    def standard_exponential(self, size):
+        return np.ones(size)
 
-    def random(self):
-        return self.u
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 class TestBlockBoundaries:
@@ -383,3 +413,57 @@ class TestBlockBoundaries:
         # bond 33 (index 32) flipped its right site, site 34
         assert res.final_state.bits() == [0] * 33 + [1] + [0] * 32
 
+
+
+def compensator_z(res, spec):
+    """The run's clock against the exact exit rates: sum over c of
+    ``config_weights[c]`` times -G[c, c], less the event count, over its
+    square root.  Each waiting time is a unit exponential over the exit
+    rate of its state, so the sum is that of the run's n unit draws, and
+    this is a standardised sum of n of them."""
+    gen = assemble_generator(spec)
+    total = sum(w * -gen[c, c] for c, w in res.config_weights.items())
+    return (total - res.n_events) / math.sqrt(res.n_events)
+
+
+class TestClock:
+    @pytest.mark.parametrize("family", ["impurity", "quench"])
+    def test_compensator_counts_the_events(self, family):
+        spec = make_benchmark_chain(family, 8)
+        res = run(spec, LatticeState.full(8), 20_000, seed=1)
+        assert res.n_events == 20_000
+        assert abs(compensator_z(res, spec)) < 5
+
+    @pytest.mark.parametrize("family", ["impurity", "quench"])
+    def test_scaled_waiting_times_fail(self, family, monkeypatch):
+        # a stationary law cannot see this: every state keeps its share
+        class Scaled:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_exponential(self, size):
+                return 1.1 * self.rng.standard_exponential(size)
+
+            def random(self, size):
+                return self.rng.random(size)
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Scaled(real(seed)))
+        spec = make_benchmark_chain(family, 8)
+        res = run(spec, LatticeState.full(8), 20_000, seed=1)
+        assert compensator_z(res, spec) > 5
+
+    def test_stale_rate_sum_fails(self):
+        # run's source with each waiting time over the rate sum of the
+        # state before the last event; on the quench this moves the sum
+        # by only about 4 sigma at 20k events, on the impurity chain by 19
+        line = "dt = waits[d] / rate_sum"
+        source = textwrap.dedent(inspect.getsource(gillespie.run))
+        assert source.count(line) == 1
+        namespace = dict(vars(gillespie))
+        exec(source.replace(line, "dt = waits[d] / (last if executed else "
+                            "rate_sum); last = rate_sum"), namespace)
+        spec = make_benchmark_chain("impurity", 8)
+        res = namespace["run"](spec, LatticeState.full(8), 20_000, seed=1)
+        assert res.n_events == 20_000
+        assert compensator_z(res, spec) > 5
