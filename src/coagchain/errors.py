@@ -8,10 +8,12 @@ The CLI maps these onto process exit codes:
   p*q = 0 in a segment, and every command-line usage error, which
   argparse reports itself;
 * 2 (internal consistency failure): ``ConsistencyError``, which includes
-  complex eigenvalues of the dense block matrix, a 2^N generator that is
+  a chain with no nonzero excitation (no gap), a 2^N generator that is
   not block triangular by runs of empty sites or whose diagonal blocks
   cannot be symmetrised (the brute-force oracle) or are singular (the
-  stationary state), and ``DegenerateModeError``;
+  stationary state), complex eigenvalues of the block matrix (which
+  ``verify`` no longer reads), and ``DegenerateModeError``; a failed
+  ``verify`` check exits 2 too;
 * 3 (size guard): ``SizeLimitError``.
 """
 

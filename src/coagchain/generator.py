@@ -42,6 +42,50 @@ from .model import ROUNDING, ChainSpec
 
 MAX_DENSE_DIM = 4096
 _ROWS = 64  # rows per slab when a block is symmetrised in place
+_F2 = np.kron([[1, 0], [1, 1]], [[1, 0], [1, 1]])  # F on one bond's 2 sites
+_F2_INV = np.kron([[1, 0], [-1, 1]], [[1, 0], [-1, 1]])
+# entries of F2 m F2^-1 that the empty-interval closure makes 0: no bond
+# empties two sites, m[2, 1] == m[2, 3], m[1, 2] == m[1, 3], zero column sums
+_CLOSURE = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 1),
+            (3, 0), (3, 1), (3, 2), (3, 3))
+
+
+def wall_operator(bonds) -> tuple[list, list, tuple[list, list], list]:
+    """The empty-interval walls of a chain, from its N - 1 bond matrices
+    ``bonds`` alone, in any number type (ben-Avraham, Burschka & Doering,
+    J. Stat. Phys. 60, 695 (1990)).
+
+    Each distinct matrix object is transformed once, to mt = F2 m F2^-1;
+    bit 0 of its indices means "this site is empty", bit 1 "no condition".
+    The interval of empty sites x+1..y has a wall w at x and y, between
+    sites w and w + 1.  A left wall reads row 2 of bond w's mt (to w - 1 at
+    mt_w[2, 0], to w + 1 at mt_w[2, 3]), a right wall row 1 (to w + 1 at
+    mt_w[1, 0], to w - 1 at mt_w[1, 3]), and a bond inside adds mt[0, 0].
+    Returns the closure entries of each distinct mt (mt[0, 1:], mt[1, 2],
+    mt[2, 1] and row 3, all 0 in exact arithmetic); h[w, w] for
+    w = 0..N-1 (mt_w[2, 2], 0 at w = 0, plus mt_b[0, 0] of every bond
+    b > w); h[w, w+1]^2 for w = 1..N-2 read at an interval's left end,
+    mt_w[2, 3] mt_(w+1)[2, 0], and at its right end,
+    mt_(w+1)[1, 3] mt_w[1, 0]; and kappa for w = 1..N-1, the right wall's
+    diagonal (mt_w[1, 1] less mt_b[0, 0] of every bond b >= w) minus
+    h[w, w].  Interval (x, y) then has the diagonal
+    h[x, x] + h[y, y] + kappa, and h[N, N] = -kappa.
+    """
+    distinct = {}
+    for m in bonds:
+        if id(m) not in distinct:
+            distinct[id(m)] = (_F2 @ np.asarray(m) @ _F2_INV).tolist()
+    mt = [None] + [distinct[id(m)] for m in bonds]  # mt[w] is bond w's
+    n = len(mt)
+    tail = [0] * (n + 1)  # tail[w]: mt_b[0, 0] summed over bonds b >= w
+    for w in range(n - 1, 0, -1):
+        tail[w] = tail[w + 1] + mt[w][0][0]
+    diagonal = [tail[1]] + [mt[w][2][2] + tail[w + 1] for w in range(1, n)]
+    left = [mt[w][2][3] * mt[w + 1][2][0] for w in range(1, n - 1)]
+    right = [mt[w + 1][1][3] * mt[w][1][0] for w in range(1, n - 1)]
+    kappa = [mt[w][1][1] - tail[w] - diagonal[w] for w in range(1, n)]
+    closure = [[m[i][j] for i, j in _CLOSURE] for m in distinct.values()]
+    return closure, diagonal, (left, right), kappa
 
 
 def assemble_generator(spec: ChainSpec) -> np.ndarray:

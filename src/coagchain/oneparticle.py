@@ -13,7 +13,8 @@ The secular condition is written twice.  The production route takes the
 roots as the eigenvalues of a real symmetric tridiagonal (Jacobi) matrix
 of size N-1 whose characteristic polynomial is the secular one; the
 exactly-signed scaled Chebyshev form shares no code with it and serves as
-the independent check, next to the dense block matrix.  The eigenvector
+the independent check of the roots, and ``generator.wall_operator``
+checks the matrix itself against the generator's entries.  The eigenvector
 constructors mirror the analytic ansatz: plane waves (or their hyperbolic
 continuations, reached automatically through a complex branch base) in
 each segment.  One gluing step ties them together at the junction: the
@@ -252,8 +253,13 @@ class ModeVector:
 
 
 def _mode_residual(matrix: np.ndarray, phi: np.ndarray, lam: float) -> float:
-    scale = float(np.max(np.abs(phi)))
-    return float(np.max(np.abs(matrix @ phi - lam * phi))) / scale
+    """max |M phi - lam phi| / max |phi|.  The real M multiplies phi's real
+    and imaginary parts apart, so no complex copy of M is made."""
+    product = matrix @ phi.real
+    if np.iscomplexobj(phi):
+        product = product + 1j * (matrix @ phi.imag)
+    return (float(np.max(np.abs(product - lam * phi)))
+            / float(np.max(np.abs(phi))))
 
 
 def _finish_mode(matrix, kind, lam, comp, t1, t2, n, aux):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import astuple
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -51,6 +52,29 @@ def make_benchmark_chain(family, n_sites, delta=None) -> ChainSpec:
         return make_quench_spec(n_sites // 2, delta1=d1, delta2=1.3 * d1)
     theta = 0.6 if delta is None else 0.5 * math.atan(math.sqrt(delta))
     return make_impurity_spec(n_sites // 2, theta=theta, s=1.0)
+
+
+def exact_chains() -> dict:
+    """Chains with ``Fraction`` rates: p*q > 0, p*q = 0 and frozen."""
+    seg1 = RateTriple(Fraction(3, 5), Fraction(6), Fraction(1))
+    seg2 = RateTriple(Fraction(6), Fraction(1, 5), Fraction(13, 10))
+    junction, _ = build_quench_junction(seg1, seg2)
+    p0 = RateTriple(Fraction(0), Fraction(6), Fraction(1))
+    return {
+        "impurity": impurity_chain(
+            RateTriple(Fraction(1, 2), Fraction(3), Fraction(7, 3)), 3,
+            Fraction(1, 3)),
+        "even quench": quench_chain(seg1, seg2, 3),
+        "odd quench": ChainSpec(3, 4, seg1, seg2, junction),
+        "homogeneous p=0": homogeneous_chain(
+            RateTriple(Fraction(0), Fraction(3), Fraction(1)), 3, 3),
+        "impurity q=0": impurity_chain(
+            RateTriple(Fraction(2), Fraction(0), Fraction(1)), 2,
+            Fraction(1, 2)),
+        "quench p1=0": quench_chain(p0, seg2, 3),
+        "frozen": homogeneous_chain(
+            RateTriple(Fraction(0), Fraction(0), Fraction(1)), 2, 2),
+    }
 
 
 def sampler_events(spec, occupancy):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,10 +13,10 @@ from coagchain import (ChainSpec, ConsistencyError, RateTriple,
                        build_bulk_operator, edge_energies, homogeneous_chain,
                        jacobi_entries, one_particle_spectrum, parity,
                        solve_secular, stationary_vectors, vacuum_energy)
-from coagchain.generator import _run_groups
+from coagchain.generator import _run_groups, wall_operator
 from coagchain.model import JunctionRates, bulk_matrix, junction_matrix
-from conftest import (dense_eigvals, impurity_chain, kron_generator,
-                      make_benchmark_chain, make_impurity_spec,
+from conftest import (dense_eigvals, exact_chains, impurity_chain,
+                      kron_generator, make_benchmark_chain, make_impurity_spec,
                       make_quench_spec, mp_chain, quench_chain, random_chain,
                       sampler_events)
 
@@ -383,3 +384,47 @@ class TestExactReduction:
             roots = np.array(self.secular_roots(mp), dtype=float)
         assert np.max(np.abs(solve_secular(spec) - roots)) \
             <= 1e-12 * np.max(np.abs(roots))
+
+
+class TestWallOperator:
+    """The walls' constants in closed form: h[w, w] - T[w, w] = Q2 and
+    kappa = -2 Q2 on walls 1..N-1, and h[0, 0] = mt_J[0, 0] = Q2 - Q1."""
+
+    @staticmethod
+    def constants(spec, bonds):
+        closure, h, _, kappa = wall_operator(bonds)
+        diagonal, _ = jacobi_entries(spec)
+        shifts = [x - t for x, t in zip(h[1:], diagonal)]
+        return closure, shifts, kappa, h[0]
+
+    @pytest.mark.parametrize("name", list(exact_chains()))
+    def test_constants_exact_in_fractions(self, name):
+        spec = exact_chains()[name]
+        s1, s2 = spec.seg1, spec.seg2
+        junction = junction_matrix(s1, s2, spec.junction)
+        bonds = ([bulk_matrix(s1)] * (spec.L1 - 1) + [junction]
+                 + [bulk_matrix(s2)] * (spec.L2 - 1))
+        closure, shifts, kappa, h00 = self.constants(spec, bonds)
+        assert len(closure) == len({id(m) for m in bonds})
+        assert set(shifts) == {s2.Q}
+        assert set(kappa) == {-2 * s2.Q}
+        assert h00 == junction[0, 0] == s2.Q - s1.Q
+        assert type(h00) is Fraction
+
+    @pytest.mark.parametrize("chain", ["impurity", "quench", "s=-0.3"]
+                             + [f"random{i}" for i in range(6)])
+    def test_constants_in_floats(self, chain):
+        if chain.startswith("random"):
+            spec = random_chain(np.random.default_rng(int(chain[6:])), 4, 5)
+        elif chain == "s=-0.3":
+            spec = make_impurity_spec(5, s=-0.3)
+        else:
+            spec = make_benchmark_chain(chain, 10)
+        bonds = [spec.bond_operator(k).entries
+                 for k in range(1, spec.n_sites)]
+        _, shifts, kappa, h00 = self.constants(spec, bonds)
+        scale = max(float(np.max(np.abs(m))) for m in bonds)
+        q1, q2 = spec.seg1.Q, spec.seg2.Q
+        assert np.allclose(shifts, q2, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(kappa, -2 * q2, rtol=0, atol=1e-12 * scale)
+        assert h00 == pytest.approx(q2 - q1, abs=1e-12 * scale)

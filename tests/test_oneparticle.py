@@ -11,7 +11,8 @@ from coagchain import (ChainValidationError, ConsistencyError, RateTriple,
                        pairing_residual, secular_function, solve_secular,
                        trivial_zero_modes)
 from coagchain.model import DELTA_MAX
-from coagchain.oneparticle import (DegenerateModeWarning, _secular_scaled,
+from coagchain.oneparticle import (DegenerateModeWarning, _mode_residual,
+                                   _secular_scaled,
                                    script_matrix_negative_spectrum)
 from coagchain.verify import run_verification
 from conftest import make_impurity_spec, make_quench_spec, random_chain
@@ -225,6 +226,21 @@ class TestOneParticleSpectrum:
         values, labels = one_particle_spectrum(quench_spec).excitations()
         assert labels[:2] == ["edge1", "edge2"]
         assert len(values) == quench_spec.n_sites + 1
+
+
+@pytest.mark.parametrize("n", [4, 84, 2004])
+def test_mode_residual_equals_the_complex_product(n, rng):
+    # M times phi's real and imaginary parts apart, against M @ phi with M
+    # cast to complex: the same residual to rounding
+    matrix = rng.normal(size=(n, n))
+    phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    lam = float(rng.normal())
+    want = (float(np.max(np.abs(matrix @ phi - lam * phi)))
+            / float(np.max(np.abs(phi))))
+    assert _mode_residual(matrix, phi, lam) == pytest.approx(want, rel=1e-14)
+    assert _mode_residual(matrix, phi.real, lam) == (
+        float(np.max(np.abs(matrix @ phi.real - lam * phi.real)))
+        / float(np.max(np.abs(phi.real))))
 
 
 class TestTrivialZeroModes:
